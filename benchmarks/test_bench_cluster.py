@@ -34,7 +34,7 @@ import time as _time
 
 from repro.service import protocol
 from repro.service.client import ServiceClient
-from repro.service.cluster.loadgen import run_cluster_loadgen
+from repro.service.loadgen import run_loadgen as run_cluster_loadgen
 from repro.service.cluster.router import build_scenario_cluster
 from repro.service.cluster.supervisor import ShardSupervisor
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.exceptions import ReproError
 
@@ -531,15 +531,29 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     elif not args.in_process and _probe_tcp("127.0.0.1", DEFAULT_SERVICE_PORT):
         host, port = "127.0.0.1", DEFAULT_SERVICE_PORT
 
-    report = run_loadgen(
+    return _print_loadgen_report(run_loadgen(
         sources=args.sources, queries=args.queries, items=args.items,
         duration=args.duration, subscribers=args.subscribers,
         tick_interval=args.tick_interval, seed=args.seed,
         algorithm=args.algorithm, workload=args.workload,
         host=host, port=port, output=args.output or None,
         trace_length=args.trace_length,
-    )
+    ))
+
+
+def _print_loadgen_report(report: Dict[str, Any]) -> int:
+    """Print one loadgen report; exit status 1 on any QAB violation or
+    slow-consumer eviction."""
     print(f"transport            {report['transport']}")
+    if "shards" in report:
+        print(f"shards               {report['shards']} "
+              f"(active {report['active_shards']})")
+        print(f"cross-shard queries  {report['cross_shard_queries']} "
+              f"({report['mirrored_items']} mirrored items)")
+    if report["brokers"]:
+        broker = report["broker_stats"] or {}
+        print(f"broker tier          {report['brokers']} brokers, "
+              f"{broker.get('notifies_sent', 0)} notifies fanned out")
     print(f"sources x subs       {report['sources']} x {report['subscribers']}")
     print(f"queries / items      {report['queries']} / {report['items']}")
     print(f"ticks                {report['ticks']} "
@@ -553,15 +567,16 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
                              for k, v in sorted(latency.items()))
         print(f"notify latency       {rendered} "
               f"({report['latency_samples']} samples)")
-    stats = report.get("server_stats") or {}
+    stats = report.get("coordinator_stats") or {}
     if stats:
-        print(f"server               {stats.get('recomputations', '?')} "
-              f"recomputations, {stats.get('refreshes', '?')} refreshes, "
-              f"{stats.get('slow_consumer_evictions', 0)} evictions")
+        print(f"coordinator          {stats.get('recomputations', '?')} "
+              f"recomputations, {stats.get('refreshes', '?')} refreshes")
+    print(f"evictions            {report['slow_consumer_evictions']}")
     print(f"QAB violations       {report['qab_violations']}")
     if report.get("output"):
         print(f"report written to    {report['output']}")
-    return 1 if report["qab_violations"] else 0
+    failed = report["qab_violations"] or report["slow_consumer_evictions"]
+    return 1 if failed else 0
 
 
 def cmd_cluster_serve(args: argparse.Namespace) -> int:
@@ -605,9 +620,9 @@ def cmd_cluster_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_cluster_loadgen(args: argparse.Namespace) -> int:
-    from repro.service.cluster.loadgen import run_cluster_loadgen
+    from repro.service.loadgen import run_loadgen
 
-    report = run_cluster_loadgen(
+    return _print_loadgen_report(run_loadgen(
         shards=args.shards, sources=args.sources, queries=args.queries,
         items=args.items, duration=args.duration,
         subscribers=args.subscribers, brokers=args.brokers,
@@ -615,32 +630,7 @@ def cmd_cluster_loadgen(args: argparse.Namespace) -> int:
         algorithm=args.algorithm, workload=args.workload,
         journal_dir=args.journal or None, output=args.output or None,
         trace_length=args.trace_length,
-    )
-    print(f"shards               {report['shards']} "
-          f"(active {report['active_shards']})")
-    print(f"cross-shard queries  {report['cross_shard_queries']} "
-          f"({report['mirrored_items']} mirrored items)")
-    if report["brokers"]:
-        broker = report["broker_stats"] or {}
-        print(f"broker tier          {report['brokers']} brokers, "
-              f"{broker.get('notifies_sent', 0)} notifies fanned out")
-    print(f"sources x subs       {report['sources']} x {report['subscribers']}")
-    print(f"queries / items      {report['queries']} / {report['items']}")
-    print(f"ticks                {report['ticks']} "
-          f"({report['ticks_per_second']:.0f}/s)")
-    print(f"refreshes sent       {report['refreshes_sent']} "
-          f"(filtered {report['refreshes_filtered']})")
-    print(f"notifies received    {report['notifies_received']}")
-    latency = report["notify_latency_seconds"]
-    if latency:
-        rendered = ", ".join(f"{k}={v * 1000:.2f}ms"
-                             for k, v in sorted(latency.items()))
-        print(f"notify latency       {rendered} "
-              f"({report['latency_samples']} samples)")
-    print(f"QAB violations       {report['qab_violations']}")
-    if report.get("output"):
-        print(f"report written to    {report['output']}")
-    return 1 if report["qab_violations"] else 0
+    ))
 
 
 def cmd_chaos_soak(args: argparse.Namespace) -> int:

@@ -19,7 +19,7 @@ The discrete-event simulator proves the planning algorithms; this package
 * :mod:`repro.service.client` — the
   :class:`~repro.service.client.ServiceClient` subscriber SDK;
 * :mod:`repro.service.loadgen` — the N-sources × M-subscribers load
-  generator behind ``repro loadgen``;
+  generator behind ``repro loadgen`` and ``repro cluster loadgen``;
 * :mod:`repro.service.chaos` — seeded wire-level fault injection
   (:class:`~repro.service.chaos.FaultSchedule`,
   :class:`~repro.service.chaos.FaultInjector`) that composes with any
@@ -82,7 +82,6 @@ __all__ = [
     "run_chaos_soak",
     "ClusterCoordinator",
     "build_scenario_cluster",
-    "run_cluster_loadgen",
     "ShardMap",
     "stable_shard",
 ]
@@ -108,8 +107,6 @@ _LAZY = {
                            "ClusterCoordinator"),
     "build_scenario_cluster": ("repro.service.cluster.router",
                                "build_scenario_cluster"),
-    "run_cluster_loadgen": ("repro.service.cluster.loadgen",
-                            "run_cluster_loadgen"),
     "ShardMap": ("repro.service.cluster.routing", "ShardMap"),
     "stable_shard": ("repro.service.cluster.routing", "stable_shard"),
 }

@@ -356,8 +356,10 @@ class SourceAgent:
                 await self._reconnect(reconnect, retry_policy)
                 continue            # retry the same step after resync
             step += 1
-            if tick_interval:
-                await asyncio.sleep(tick_interval)
+            # Yield every step, even with no interval: a loopback send
+            # never suspends, so without it the coordinator's subscriber
+            # writers would not run until the replay ends.
+            await asyncio.sleep(tick_interval)
         return sent
 
     async def _reconnect(self, reconnect: Callable[[], "Any"],

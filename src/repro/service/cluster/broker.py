@@ -22,35 +22,38 @@ from __future__ import annotations
 
 import asyncio
 import time as _time
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.service import protocol
 from repro.service.protocol import MessageType, ProtocolError
-from repro.service.server import DEFAULT_NOTIFY_QUEUE_LIMIT, _Subscriber
-from repro.service.transports import MessageStream, TransportClosed, loopback_pair
+from repro.service.server import (
+    DEFAULT_NOTIFY_QUEUE_LIMIT,
+    ConnectionPlane,
+    _Connection,
+    _Subscriber,
+)
+from repro.service.transports import MessageStream, TransportClosed
 
 
-class NotifyBroker:
-    """One fan-out node: single upstream subscription, many downstream."""
+class NotifyBroker(ConnectionPlane):
+    """One fan-out node: single upstream subscription, many downstream.
+
+    Downstream it serves the subscriber plane only (QUERY_SUB and
+    SNAPSHOT); any other frame is refused like at every other hop."""
 
     def __init__(self, connect_upstream: Callable[[], MessageStream],
                  clock: Callable[[], float] = _time.time,
                  notify_queue_limit: int = DEFAULT_NOTIFY_QUEUE_LIMIT,
                  writer_join_timeout: float = 1.0,
                  name: str = "broker"):
+        super().__init__(notify_queue_limit, writer_join_timeout)
         self.connect_upstream = connect_upstream
         self.clock = clock
-        self.notify_queue_limit = int(notify_queue_limit)
-        self.writer_join_timeout = float(writer_join_timeout)
         self.name = name
         self.values: Dict[str, float] = {}
         self.degraded: Dict[str, float] = {}
         self._upstream: Optional[MessageStream] = None
         self._upstream_task: Optional[asyncio.Task] = None
-        self._subscribers: Dict[int, _Subscriber] = {}
-        self._sub_counter = 0
-        self._handler_tasks: Set[asyncio.Task] = set()
-        self._closing = False
         self.started = False
         self.stats = {
             "upstream_notifies": 0,
@@ -66,7 +69,7 @@ class NotifyBroker:
         """Subscribe upstream and seed the cache from the initial snapshot."""
         if self.started:
             return
-        self._closing = False
+        self.closed = False
         await self._subscribe_upstream()
         self.started = True
 
@@ -120,7 +123,7 @@ class NotifyBroker:
             raise
         finally:
             stream.close()
-            if not self._closing and self._upstream is stream:
+            if not self.closed and self._upstream is stream:
                 # Cut unexpectedly (upstream restart, or an eviction
                 # before the trunk flag deepened our queue): reattach
                 # and re-seed the cache from the fresh initial
@@ -150,71 +153,25 @@ class NotifyBroker:
                 shard=message.get("shard"),
                 degraded={k: v for k, v in degraded.items()
                           if sub.wants(k)} if degraded is not None else None)
-            try:
-                sub.queue.put_nowait(out)
-            except asyncio.QueueFull:
-                self._evict_slow_consumer(sub)
+            self._enqueue(sub, out)
 
     # -- downstream ---------------------------------------------------------------
 
-    def connect_loopback(self) -> MessageStream:
-        client_end, server_end = loopback_pair()
-        task = asyncio.ensure_future(self.handle_connection(server_end))
-        self._handler_tasks.add(task)
-        task.add_done_callback(self._handler_tasks.discard)
-        return client_end
-
-    async def handle_connection(self, stream: MessageStream) -> None:
-        sub: Optional[_Subscriber] = None
-        try:
-            while True:
-                message = await stream.receive()
-                if message is None:
-                    break
-                try:
-                    kind = protocol.validate_message(message)
-                except ProtocolError as err:
-                    self.stats["protocol_errors"] += 1
-                    await self._safe_send(stream, protocol.error(str(err)))
-                    break
-                if kind is MessageType.QUERY_SUB:
-                    if message.get("definitions"):
-                        self.stats["protocol_errors"] += 1
-                        await self._safe_send(stream, protocol.error(
-                            "brokers are read-only: register queries at the "
-                            "coordinator"))
-                        break
-                    sub = self._add_subscriber(stream, message)
-                    await self._safe_send(stream, self._snapshot_response(sub))
-                elif kind is MessageType.SNAPSHOT:
-                    self.stats["snapshots_served"] += 1
-                    await self._safe_send(stream, self._snapshot_response(sub))
-                else:
-                    self.stats["protocol_errors"] += 1
-                    await self._safe_send(stream, protocol.error(
-                        f"unexpected {kind.value}: brokers serve "
-                        "subscribers only"))
-                    break
-        except ProtocolError:
-            self.stats["protocol_errors"] += 1
-        finally:
-            stream.close()
-            if sub is not None:
-                await self._drop_subscriber(sub)
-
-    def _add_subscriber(self, stream: MessageStream,
-                        message: Dict[str, Any]) -> _Subscriber:
+    def _subscription(self, message: Dict[str, Any]
+                      ) -> Tuple[Optional[Set[str]], Set[str]]:
+        if message.get("definitions"):
+            raise ProtocolError("brokers are read-only: register queries "
+                                "at the coordinator")
         wanted = message["queries"]
-        names = None if wanted == "*" else set(wanted)
-        self._sub_counter += 1
-        sub = _Subscriber(self._sub_counter, stream, names,
-                          self.notify_queue_limit)
-        self._subscribers[sub.sub_id] = sub
-        self.stats["subscribers"] = len(self._subscribers)
-        sub.writer_task = asyncio.ensure_future(self._subscriber_writer(sub))
-        return sub
+        return (None if wanted == "*" else set(wanted)), set()
 
-    def _snapshot_response(self, sub: Optional[_Subscriber]) -> Dict[str, Any]:
+    async def _on_snapshot(self, conn: _Connection,
+                           message: Dict[str, Any]) -> None:
+        self.stats["snapshots_served"] += 1
+        await self._send_snapshot(conn.stream, conn.sub)
+
+    def _snapshot_response(self, sub: Optional[_Subscriber] = None
+                           ) -> Dict[str, Any]:
         values = {name: value for name, value in self.values.items()
                   if sub is None or sub.wants(name)}
         degraded = ({name: bound for name, bound in self.degraded.items()
@@ -225,57 +182,8 @@ class NotifyBroker:
         return protocol.snapshot(values=values, stats=stats,
                                  degraded=degraded)
 
-    async def _safe_send(self, stream: MessageStream,
-                         message: Dict[str, Any]) -> bool:
-        try:
-            await stream.send(message)
-            return True
-        except (TransportClosed, ProtocolError):
-            return False
-
-    def _evict_slow_consumer(self, sub: _Subscriber) -> None:
-        if sub.evicted:
-            return
-        sub.evicted = True
-        self.stats["slow_consumer_evictions"] += 1
-        self._subscribers.pop(sub.sub_id, None)
-        self.stats["subscribers"] = len(self._subscribers)
-        if sub.writer_task is not None:
-            sub.writer_task.cancel()
-        sub.stream.close()
-
-    async def _drop_subscriber(self, sub: _Subscriber) -> None:
-        self._subscribers.pop(sub.sub_id, None)
-        self.stats["subscribers"] = len(self._subscribers)
-        if sub.writer_task is not None and not sub.writer_task.done():
-            try:
-                sub.queue.put_nowait(None)
-            except asyncio.QueueFull:
-                sub.writer_task.cancel()
-            try:
-                await asyncio.wait_for(sub.writer_task,
-                                       timeout=self.writer_join_timeout)
-            except (asyncio.TimeoutError, asyncio.CancelledError):
-                sub.writer_task.cancel()
-        sub.stream.close()
-
-    async def _subscriber_writer(self, sub: _Subscriber) -> None:
-        try:
-            while True:
-                message = await sub.queue.get()
-                if message is None:
-                    return
-                await sub.stream.send(message)
-                self.stats["notifies_sent"] += 1
-        except (TransportClosed, ProtocolError):
-            self._subscribers.pop(sub.sub_id, None)
-            self.stats["subscribers"] = len(self._subscribers)
-            sub.stream.close()
-        except asyncio.CancelledError:
-            raise
-
     async def close(self) -> None:
-        self._closing = True
+        self.closed = True
         if self._upstream_task is not None:
             self._upstream_task.cancel()
             try:
@@ -286,15 +194,7 @@ class NotifyBroker:
         if self._upstream is not None:
             self._upstream.close()
             self._upstream = None
-        for sub in list(self._subscribers.values()):
-            await self._drop_subscriber(sub)
-        for task in list(self._handler_tasks):
-            task.cancel()
-        for task in list(self._handler_tasks):
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
+        await self._close_connections()
         self.started = False
 
 

@@ -55,7 +55,6 @@ import os
 import time as _time
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.exceptions import ReproError
 from repro.filters.shard_budget import BankDecomposition, decompose_bank, recombine
 from repro.service import protocol
 from repro.service.cluster.routing import ShardMap
@@ -65,10 +64,12 @@ from repro.service.resilience import RetryPolicy
 from repro.service.server import (
     DEFAULT_NOTIFY_QUEUE_LIMIT,
     TRUNK_QUEUE_LIMIT,
+    ConnectionPlane,
     CoordinatorServer,
+    _Connection,
     _Subscriber,
 )
-from repro.service.transports import MessageStream, TransportClosed, loopback_pair
+from repro.service.transports import MessageStream, TransportClosed
 
 #: How long a snapshot gather waits per shard before falling back to the
 #: last known partials (a dead shard mid-failover must not hang audits).
@@ -95,8 +96,11 @@ SHARD_TRUNK_QUEUE_LIMIT = TRUNK_QUEUE_LIMIT
 SUSPECT_WIDEN_FACTOR = 2.0
 
 
-class ClusterCoordinator:
+class ClusterCoordinator(ConnectionPlane):
     """Route sources and subscribers across coordinator shards."""
+
+    #: The router speaks the full coordinator protocol downstream.
+    HANDLERS = CoordinatorServer.HANDLERS
 
     def __init__(
         self,
@@ -111,6 +115,7 @@ class ClusterCoordinator:
         dab_retry_policy: Optional[RetryPolicy] = None,
         make_shard: Optional[Callable[[int], CoordinatorServer]] = None,
     ):
+        super().__init__(notify_queue_limit, writer_join_timeout)
         self.shards: Dict[int, CoordinatorServer] = dict(shards)
         self.decomposition = decomposition
         self.shard_map = shard_map
@@ -119,8 +124,6 @@ class ClusterCoordinator:
         #: audit recombined values against it.
         self.queries = list(queries)
         self.clock = clock
-        self.notify_queue_limit = int(notify_queue_limit)
-        self.writer_join_timeout = float(writer_join_timeout)
         self.dab_retry_policy = dab_retry_policy
         #: rebuilds one shard server (same scenario, same journal path)
         #: — the supervisor's failover hook.
@@ -180,16 +183,9 @@ class ClusterCoordinator:
         self.supervisor: Optional[Any] = None
         self.health: Optional[Any] = None
 
-        # downstream plumbing (real sources and subscribers)
-        self._source_streams: Dict[int, MessageStream] = {}
-        self._subscribers: Dict[int, _Subscriber] = {}
-        self._sub_counter = 0
+        # reliable DAB delivery toward the real sources
         self._outstanding_dabs: Dict[int, Dict[str, Any]] = {}
         self._dab_msg_counter = 0
-        self._handler_tasks: Set[asyncio.Task] = set()
-        self._tcp_server: Optional[asyncio.AbstractServer] = None
-        self._maintenance_task: Optional[asyncio.Task] = None
-        self.listen_address: Optional[Tuple[str, int]] = None
         #: kept ``None`` on purpose: the *shards* journal; soak tooling
         #: checks this attribute to decide whether the single-node
         #: journal bookkeeping applies.
@@ -220,7 +216,6 @@ class ClusterCoordinator:
             "fenced_frames_rejected": 0,
             "refreshes_frozen": 0,
         }
-        self._closing = False
 
     # -- facade properties (soak/loadgen compatibility) ---------------------------
 
@@ -393,22 +388,8 @@ class ClusterCoordinator:
         for source_id, items in sorted(self._sources_for_shard(sid).items()):
             await self._forward_probe(source_id, items)
 
-    async def serve_tcp(self, host: str = "127.0.0.1",
-                        port: int = 0) -> Tuple[str, int]:
-        if not self.started:
-            await self.start()
-
-        async def _accept(reader: asyncio.StreamReader,
-                          writer: asyncio.StreamWriter) -> None:
-            peer = writer.get_extra_info("peername")
-            stream = MessageStream(reader, writer, name=str(peer))
-            await self.handle_connection(stream)
-
-        self._tcp_server = await asyncio.start_server(_accept, host, port)
-        sockname = self._tcp_server.sockets[0].getsockname()
-        self.listen_address = (sockname[0], sockname[1])
-        self.start_maintenance()
-        return sockname[0], sockname[1]
+    async def _prepare_to_serve(self) -> None:
+        await self.start()
 
     def start_maintenance(self) -> None:
         if self._maintenance_task is not None:
@@ -427,42 +408,11 @@ class ClusterCoordinator:
             await self.check_leases()
             await self.check_retries()
 
-    def adopt_connection(self, server_end: MessageStream) -> None:
-        task = asyncio.ensure_future(self.handle_connection(server_end))
-        self._handler_tasks.add(task)
-        task.add_done_callback(self._handler_tasks.discard)
-
-    def connect_loopback(self) -> MessageStream:
-        client_end, server_end = loopback_pair()
-        self.adopt_connection(server_end)
-        return client_end
-
     async def close(self, final_snapshot: bool = True) -> None:
-        self._closing = True
-        if self._maintenance_task is not None:
-            self._maintenance_task.cancel()
-            try:
-                await self._maintenance_task
-            except (asyncio.CancelledError, Exception):
-                pass
-            self._maintenance_task = None
-        if self._tcp_server is not None:
-            self._tcp_server.close()
-            await self._tcp_server.wait_closed()
-        for sub in list(self._subscribers.values()):
-            await self._drop_subscriber(sub)
+        self.closed = True
+        await self._close_connections()
         for sid in sorted(set(self._sub_streams) | {k[0] for k in self._up_streams}):
             await self._detach_shard(sid)
-        for stream in list(self._source_streams.values()):
-            stream.close()
-        self._source_streams.clear()
-        for task in list(self._handler_tasks):
-            task.cancel()
-        for task in list(self._handler_tasks):
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
         for sid in sorted(self.shards):
             await self.shards[sid].close(final_snapshot=final_snapshot)
 
@@ -530,7 +480,8 @@ class ClusterCoordinator:
                                                      epochs, msg_id=msg_id)):
             self.stats["dab_updates_sent"] += 1
 
-    def _on_dab_ack(self, message: Mapping[str, Any]) -> None:
+    async def _on_dab_ack(self, conn: _Connection,
+                          message: Mapping[str, Any]) -> None:
         self._outstanding_dabs.pop(int(message["msg_id"]), None)
         self.stats["dab_acks_received"] += 1
 
@@ -656,7 +607,7 @@ class ClusterCoordinator:
         finally:
             stream.close()
             self._fail_snapshot_waiters(sid)
-            if (not self._closing
+            if (not self.closed
                     and self._sub_streams.get(sid) is stream
                     and sid in self.shards):
                 # The aggregation trunk died while the shard is still
@@ -775,10 +726,7 @@ class ClusterCoordinator:
                 updates, sent_at=now, refresh_sent_at=refresh_sent_at,
                 degraded={name: bound for name, bound in merged.items()
                           if sub.wants(name)} if include_degraded else None)
-            try:
-                sub.queue.put_nowait(message)
-            except asyncio.QueueFull:
-                self._evict_slow_consumer(sub)
+            self._enqueue(sub, message)
 
     async def _gather_snapshot(self) -> Tuple[Dict[str, float],
                                               Dict[str, float],
@@ -844,73 +792,10 @@ class ClusterCoordinator:
 
     # -- downstream connection handling -------------------------------------------
 
-    async def handle_connection(self, stream: MessageStream) -> None:
-        source_id: Optional[int] = None
-        sub: Optional[_Subscriber] = None
-        try:
-            while True:
-                message = await stream.receive()
-                if message is None:
-                    break
-                try:
-                    kind = protocol.validate_message(message)
-                except ProtocolError as err:
-                    self.stats["protocol_errors"] += 1
-                    await self._safe_send(stream, protocol.error(str(err)))
-                    break
-                try:
-                    if kind is MessageType.REGISTER_SOURCE:
-                        source_id = await self._on_register_source(
-                            stream, message)
-                    elif kind is MessageType.REFRESH:
-                        await self._on_refresh(message)
-                    elif kind is MessageType.HEARTBEAT:
-                        await self._on_heartbeat(message)
-                    elif kind is MessageType.DAB_ACK:
-                        self._on_dab_ack(message)
-                    elif kind is MessageType.QUERY_SUB:
-                        sub = await self._on_query_sub(stream, message)
-                    elif kind is MessageType.SNAPSHOT:
-                        await self._safe_send(
-                            stream, await self._snapshot_response())
-                    else:
-                        self.stats["protocol_errors"] += 1
-                        await self._safe_send(stream, protocol.error(
-                            f"unexpected {kind.value} from a client"))
-                        break
-                except (ValueError, TypeError, KeyError,
-                        ProtocolError) as err:
-                    self.stats["protocol_errors"] += 1
-                    await self._safe_send(stream, protocol.error(
-                        f"malformed {kind.value} message: {err}"))
-                    break
-        except ProtocolError:
-            self.stats["protocol_errors"] += 1
-            await self._safe_send(stream, protocol.error("corrupt framing"))
-        finally:
-            stream.close()
-            if (source_id is not None
-                    and self._source_streams.get(source_id) is stream):
-                del self._source_streams[source_id]
-            if sub is not None:
-                await self._drop_subscriber(sub)
-
-    async def _safe_send(self, stream: MessageStream,
-                         message: Dict[str, Any]) -> bool:
-        try:
-            await stream.send(message)
-            return True
-        except (TransportClosed, ProtocolError):
-            return False
-
-    async def _on_register_source(self, stream: MessageStream,
-                                  message: Dict[str, Any]) -> int:
+    async def _on_register_source(self, conn: _Connection,
+                                  message: Dict[str, Any]) -> None:
         source_id = int(message["source_id"])
-        previous = self._source_streams.get(source_id)
-        if previous is not None and previous is not stream:
-            previous.close()
-        self._source_streams[source_id] = stream
-        self.stats["sources_registered"] += 1
+        self._adopt_source(conn, source_id)
         if self._outstanding_dabs:
             for msg_id in [m for m, entry in self._outstanding_dabs.items()
                            if entry["source_id"] == source_id]:
@@ -922,13 +807,13 @@ class ClusterCoordinator:
         epochs = {name: self.epochs[name] for name in bounds}
         seqs = {name: self._seq_floors[name] for name in items
                 if name in self._seq_floors}
-        if await self._safe_send(stream,
+        if await self._safe_send(conn.stream,
                                  protocol.dab_update(source_id, bounds, epochs,
                                                      seqs=seqs or None)):
             self.stats["dab_updates_sent"] += 1
-        return source_id
 
-    async def _on_refresh(self, message: Dict[str, Any]) -> None:
+    async def _on_refresh(self, conn: Optional[_Connection],
+                          message: Dict[str, Any]) -> None:
         item = message["item"]
         seq = int(message["seq"])
         if seq > self._seq_floors.get(item, 0):
@@ -968,7 +853,8 @@ class ClusterCoordinator:
             if await self._safe_send(stream, message):
                 self.stats["refreshes_routed"] += 1
 
-    async def _on_heartbeat(self, message: Dict[str, Any]) -> None:
+    async def _on_heartbeat(self, conn: _Connection,
+                            message: Dict[str, Any]) -> None:
         self.stats["heartbeats_received"] += 1
         source_id = int(message["source_id"])
         for (sid, src), stream in sorted(self._up_streams.items()):
@@ -1050,8 +936,8 @@ class ClusterCoordinator:
         if not votes:
             self._shard_bounds.pop(item, None)
 
-    async def _on_query_sub(self, stream: MessageStream,
-                            message: Dict[str, Any]) -> _Subscriber:
+    def _subscription(self, message: Dict[str, Any]
+                      ) -> Tuple[Optional[Set[str]], Set[str]]:
         if message.get("definitions"):
             raise ProtocolError(
                 "the cluster router does not accept QUERY_SUB definitions "
@@ -1061,15 +947,12 @@ class ClusterCoordinator:
             names: Optional[Set[str]] = None
         else:
             names = {name for name in wanted if name in self._home_shards}
-        self._sub_counter += 1
-        limit = (max(self.notify_queue_limit, TRUNK_QUEUE_LIMIT)
-                 if message.get("trunk") else self.notify_queue_limit)
-        sub = _Subscriber(self._sub_counter, stream, names, limit)
-        self._subscribers[sub.sub_id] = sub
-        self.stats["subscribers"] = len(self._subscribers)
-        sub.writer_task = asyncio.ensure_future(self._subscriber_writer(sub))
+        return names, set()
+
+    async def _send_snapshot(self, stream: MessageStream,
+                             sub: Optional[_Subscriber]) -> None:
+        # The router's snapshot is a fresh gather across the shards.
         await self._safe_send(stream, await self._snapshot_response(sub))
-        return sub
 
     async def _snapshot_response(self, sub: Optional[_Subscriber] = None
                                  ) -> Dict[str, Any]:
@@ -1086,47 +969,6 @@ class ClusterCoordinator:
         return protocol.snapshot(values=values,
                                  stats=self.server_stats(stats_by_shard),
                                  degraded=wire_degraded)
-
-    def _evict_slow_consumer(self, sub: _Subscriber) -> None:
-        if sub.evicted:
-            return
-        sub.evicted = True
-        self.stats["slow_consumer_evictions"] += 1
-        self._subscribers.pop(sub.sub_id, None)
-        self.stats["subscribers"] = len(self._subscribers)
-        if sub.writer_task is not None:
-            sub.writer_task.cancel()
-        sub.stream.close()
-
-    async def _drop_subscriber(self, sub: _Subscriber) -> None:
-        self._subscribers.pop(sub.sub_id, None)
-        self.stats["subscribers"] = len(self._subscribers)
-        if sub.writer_task is not None and not sub.writer_task.done():
-            try:
-                sub.queue.put_nowait(None)
-            except asyncio.QueueFull:
-                sub.writer_task.cancel()
-            try:
-                await asyncio.wait_for(sub.writer_task,
-                                       timeout=self.writer_join_timeout)
-            except (asyncio.TimeoutError, asyncio.CancelledError):
-                sub.writer_task.cancel()
-        sub.stream.close()
-
-    async def _subscriber_writer(self, sub: _Subscriber) -> None:
-        try:
-            while True:
-                message = await sub.queue.get()
-                if message is None:
-                    return
-                await sub.stream.send(message)
-                self.stats["notifies_sent"] += 1
-        except (TransportClosed, ProtocolError):
-            self._subscribers.pop(sub.sub_id, None)
-            self.stats["subscribers"] = len(self._subscribers)
-            sub.stream.close()
-        except asyncio.CancelledError:
-            raise
 
     # -- introspection ------------------------------------------------------------
 
@@ -1216,38 +1058,15 @@ def build_scenario_cluster(
     real sources; shards always run retry-free — their loopback hop to
     the router is lossless and acked instantly.
     """
-    from repro.dynamics.estimation import SampledRateEstimator
-    from repro.filters.caching import QuantisingCachePlanner
-    from repro.filters.cost_model import CostModel
     from repro.service.journal import Journal
-    from repro.simulation.harness import (
-        AlgorithmName,
-        SimulationConfig,
-        _SINGLE_DAB_MODES,
-        build_planner,
-    )
-    from repro.simulation.source import assign_items_to_sources
-    from repro.workloads import scaled_scenario
+    from repro.service.server import _scenario_parts
 
-    scenario = scaled_scenario(
-        query_count=query_count, item_count=item_count,
-        trace_length=trace_length, source_count=source_count,
-        query_kind=workload, seed=seed,
-    )
-    config = SimulationConfig(
-        queries=scenario.queries, traces=scenario.traces,
-        algorithm=algorithm, recompute_cost=recompute_cost,
-        source_count=source_count, seed=seed, vectorize=vectorize,
-        recompute_mode=recompute_mode, bank_index=bank_index,
-    )
-    if config.algorithm is AlgorithmName.AAO_T:
-        raise ReproError("the live service has no periodic scheduler yet; "
-                         "pick a per-query algorithm")
+    parts = _scenario_parts(
+        query_count, item_count, source_count, trace_length, seed, algorithm,
+        recompute_cost, workload, vectorize, recompute_mode, bank_index)
+    config = parts.config
     items = config.used_items
-    rates = SampledRateEstimator().estimate_all(config.traces, items)
-    cost_model = CostModel(ddm=config.ddm, rates=rates,
-                           recompute_cost=recompute_cost)
-    item_to_source = assign_items_to_sources(items, source_count)
+    item_to_source = parts.item_to_source
 
     shard_map = ShardMap(shards)
     decomposition = decompose_bank(config.queries, shard_map.shard_of)
@@ -1256,18 +1075,14 @@ def build_scenario_cluster(
     def make_shard(sid: int) -> CoordinatorServer:
         sub_queries = decomposition.sub_queries_for[sid]
         needed = decomposition.items_needed[sid]
-        planner = build_planner(config, cost_model)
-        if config.cache_grid is not None:
-            planner = QuantisingCachePlanner(planner, grid=config.cache_grid,
-                                             bank_index_mode=bank_index)
         journal = (Journal(os.path.join(journal_dir, f"shard-{sid}"),
                            fsync=fsync, snapshot_every=snapshot_every)
                    if journal_dir is not None else None)
         return CoordinatorServer(
-            queries=sub_queries, planner=planner,
+            queries=sub_queries, planner=parts.make_planner(),
             initial_values={name: initial_values[name] for name in needed},
             item_to_source={name: item_to_source[name] for name in needed},
-            mode=_SINGLE_DAB_MODES[config.algorithm],
+            mode=parts.mode,
             vectorize=vectorize, recompute_cost=recompute_cost,
             # The shard's only subscriber is the router's aggregation
             # trunk; evicting it under a notify storm severs the shard
@@ -1303,4 +1118,4 @@ def build_scenario_cluster(
         dab_retry_policy=dab_retry_policy,
         make_shard=make_shard,
     )
-    return cluster, scenario, item_to_source
+    return cluster, parts.scenario, item_to_source

@@ -866,7 +866,9 @@ class CoordinatorCore:
         for item in query.variables:
             bucket = self.item_index.get(item)
             if bucket is not None:
-                bucket.remove(query)
+                # By identity: query equality ignores the name, so an
+                # equal-valued query under another name must stay put.
+                bucket[:] = [held for held in bucket if held is not query]
                 if not bucket:
                     del self.item_index[item]
         self.plans.pop(name, None)

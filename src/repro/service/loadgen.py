@@ -1,14 +1,16 @@
-"""Load generator: N sources × M subscribers against a live coordinator.
+"""Load generator: N sources × M subscribers against a live deployment.
 
-``run_loadgen`` builds the same deterministic scenario the server was
-launched with (same seed → same items, traces and queries on both sides),
-spins up one :class:`SourceAgent` per source and M
+``run_loadgen`` builds the same deterministic scenario the coordinator
+was launched with (same seed → same items, traces and queries on both
+sides), spins up one :class:`SourceAgent` per source and M
 :class:`ServiceClient` subscribers, replays ``duration`` trace steps
 through the DAB filters, then audits the run:
 
 * **throughput** — ticks/sec pushed through the agents' filters;
 * **notify latency** — p50/p95/p99 of refresh-sent → notify-received;
-* **refresh / recompute counts** — from the server's SNAPSHOT stats;
+* **refresh / recompute counts** — from the coordinator's SNAPSHOT stats;
+* **slow-consumer evictions** — summed over every hop (server or shards,
+  router, brokers); a fault-free run must have none;
 * **QAB violations** — the final served value of every query is checked
   against the ground truth evaluated at the agents' *current* (not just
   sent) values; fault-free this must be zero, because every unsent value
@@ -18,9 +20,15 @@ through the DAB filters, then audits the run:
 The report is returned and, when ``output`` is given, written as JSON —
 ``benchmarks/results/BENCH_service.json`` in the CI flow.
 
-Two attach modes: ``host``/``port`` drive a live ``repro serve`` process
-over TCP; with ``server`` (or neither), everything runs in process over
-the loopback transport — same protocol bytes, no sockets.
+Deployments: ``host``/``port`` drive a live ``repro serve`` (or ``repro
+cluster serve``) process over TCP.  Otherwise everything runs in process
+over the loopback transport — same protocol bytes, no sockets — against
+one :class:`CoordinatorServer`, or with ``shards`` against a
+:class:`~repro.service.cluster.router.ClusterCoordinator` whose final
+recombined values are audited at the full per-query budget ``B`` (the
+end-to-end check of the cross-shard ``B/k`` decomposition).  With
+``brokers`` the subscribers and the auditor attach through a
+:class:`~repro.service.cluster.broker.BrokerTier` in front of either.
 """
 
 from __future__ import annotations
@@ -29,29 +37,51 @@ import asyncio
 import json
 import time as _time
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Mapping, Optional
 
 from repro.service.agent import agents_for_scenario
 from repro.service.client import ServiceClient, latency_percentiles
 
 
+def _evictions(stats: Mapping[str, Any]) -> int:
+    """Slow-consumer evictions at a hop and every shard behind it, read
+    from its ``server_stats`` (or SNAPSHOT stats)."""
+    return int(stats.get("slow_consumer_evictions", 0)) + sum(
+        _evictions(shard) for shard in (stats.get("shards") or {}).values())
+
+
 async def _run_async(
-    server: "Any",
-    scenario: "Any",
+    entry: Any,
+    cluster: bool,
+    scenario: Any,
     item_to_source: Dict[str, int],
     subscriber_count: int,
     duration: int,
     tick_interval: float,
+    brokers: int,
     host: Optional[str],
     port: Optional[int],
 ) -> Dict[str, Any]:
-    over_tcp = host is not None and port is not None
+    over_tcp = entry is None
+    if cluster:
+        await entry.start()
 
     async def _attach():
         if over_tcp:
             from repro.service.transports import open_tcp_stream
             return await open_tcp_stream(host, port)
-        return server.connect_loopback()
+        return entry.connect_loopback()
+
+    tier = None
+    if brokers:
+        from repro.service.cluster.broker import BrokerTier
+
+        tier = BrokerTier(entry.connect_loopback, brokers=brokers,
+                          clock=entry.clock)
+        await tier.start()
+
+    async def _attach_subscriber():
+        return tier.connect_loopback() if tier is not None else await _attach()
 
     agents = agents_for_scenario(scenario, item_to_source,
                                  timestamp_refreshes=True)
@@ -60,7 +90,7 @@ async def _run_async(
 
     subscribers = []
     for _ in range(subscriber_count):
-        client = ServiceClient(await _attach())
+        client = ServiceClient(await _attach_subscriber())
         await client.subscribe("*")
         subscribers.append(client)
 
@@ -72,12 +102,24 @@ async def _run_async(
     ])
     elapsed = _time.perf_counter() - started
 
-    # Let in-flight notifies drain before auditing.
+    # Let in-flight partials recombine and notifies drain before auditing.
     await asyncio.sleep(0.05 if not over_tcp else 0.2)
 
-    auditor = ServiceClient(await _attach())
+    auditor = ServiceClient(await _attach_subscriber())
     served = await auditor.subscribe("*")
     stats = auditor.stats_seen
+    if not over_tcp:
+        # Read every hop live: a broker serves its cached stats, and a
+        # router's snapshot only carries the shards that answered.
+        coordinator_stats = entry.server_stats()
+        if tier is not None:
+            stats = {"broker": stats,
+                     "cluster" if cluster else "server": coordinator_stats}
+    else:
+        coordinator_stats = stats
+    broker_stats = tier.stats() if tier is not None else None
+    evictions = _evictions(coordinator_stats) + (
+        broker_stats["slow_consumer_evictions"] if broker_stats else 0)
 
     truth = {}
     for agent in agents.values():
@@ -90,9 +132,11 @@ async def _run_async(
             violations.append({"query": query.name, "error": error,
                                "qab": query.qab})
 
-    latencies = [sample for client in subscribers for sample in client.latencies]
+    latencies = [sample for client in subscribers
+                 for sample in client.latencies]
     ticks = sum(agent.stats["ticks"] for agent in agents.values())
-    report = {
+    report: Dict[str, Any] = {
+        "brokers": brokers,
         "sources": len(agents),
         "subscribers": subscriber_count,
         "queries": len(scenario.queries),
@@ -110,17 +154,31 @@ async def _run_async(
         "notify_latency_seconds": latency_percentiles(latencies),
         "latency_samples": len(latencies),
         "server_stats": stats,
+        "coordinator_stats": coordinator_stats,
+        "broker_stats": broker_stats,
+        "slow_consumer_evictions": evictions,
         "qab_violations": len(violations),
         "qab_violation_detail": violations[:10],
     }
+    if cluster:
+        decomposition = entry.decomposition
+        report.update({
+            "shards": entry.shard_map.shards,
+            "active_shards": list(decomposition.active_shards),
+            "cross_shard_queries": len(decomposition.cross_shard),
+            "mirrored_items": sum(len(items) for items
+                                  in decomposition.mirrored_items.values()),
+        })
 
     await auditor.close()
     for client in subscribers:
         await client.close()
     for agent in agents.values():
         await agent.close()
-    if server is not None:
-        await server.close()
+    if tier is not None:
+        await tier.close()
+    if entry is not None:
+        await entry.close()
     return report
 
 
@@ -138,20 +196,39 @@ def run_loadgen(
     port: Optional[int] = None,
     output: Optional[str] = None,
     trace_length: Optional[int] = None,
+    shards: Optional[int] = None,
+    brokers: int = 0,
+    journal_dir: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Run the load generator; see the module docstring for semantics.
 
     ``duration`` counts trace steps replayed per source.  With
-    ``host``/``port`` the scenario is rebuilt locally (the server must
-    have been launched with the same ``--queries/--items/--sources/--seed``)
-    and driven over TCP; otherwise an in-process server is built and the
-    whole run goes over the loopback transport.
+    ``host``/``port`` the scenario is rebuilt locally (the coordinator
+    must have been launched with the same
+    ``--queries/--items/--sources/--seed``) and driven over TCP;
+    otherwise an in-process server — or, with ``shards``, a
+    ``shards``-way cluster — is built and the whole run goes over the
+    loopback transport.  ``journal_dir`` journals every shard of that
+    cluster under ``<journal_dir>/shard-<i>``.
+
+    The report's ``coordinator_stats`` are the stats of the server or
+    router the agents feed (its SNAPSHOT stats over TCP); ``server_stats``
+    are what the auditing subscriber saw, wrapped as ``{"broker": ...,
+    "server"|"cluster": ...}`` when a broker tier sits in between.
     """
     trace_length = max(trace_length or 0, duration + 2)
     over_tcp = host is not None and port is not None
+    if over_tcp and (shards is not None or brokers or journal_dir):
+        raise ValueError("shards, brokers and journal_dir build an "
+                         "in-process deployment; they do not combine "
+                         "with host/port")
+    if journal_dir is not None and shards is None:
+        raise ValueError("journal_dir journals the shards of an in-process "
+                         "cluster; it needs shards")
+    entry: Any = None
     if over_tcp:
-        # The live server is authoritative for planning; this side only
-        # needs the (same-seed, hence identical) scenario and routing.
+        # The live coordinator is authoritative for planning; this side
+        # only needs the (same-seed, hence identical) scenario and routing.
         from repro.simulation.source import assign_items_to_sources
         from repro.workloads import scaled_scenario
 
@@ -161,20 +238,27 @@ def run_loadgen(
         item_to_source = assign_items_to_sources(
             sorted({v for q in scenario.queries for v in q.variables}),
             sources)
-        server = None
+    elif shards is not None:
+        from repro.service.cluster.router import build_scenario_cluster
+
+        entry, scenario, item_to_source = build_scenario_cluster(
+            shards=shards, query_count=queries, item_count=items,
+            source_count=sources, trace_length=trace_length, seed=seed,
+            algorithm=algorithm, workload=workload, journal_dir=journal_dir,
+        )
     else:
         from repro.service.server import build_scenario_server
 
-        server, scenario, item_to_source = build_scenario_server(
+        entry, scenario, item_to_source = build_scenario_server(
             query_count=queries, item_count=items, source_count=sources,
             trace_length=trace_length, seed=seed, algorithm=algorithm,
             workload=workload,
         )
     report = asyncio.run(_run_async(
-        server=None if over_tcp else server,
-        scenario=scenario, item_to_source=item_to_source,
+        entry=entry, cluster=shards is not None, scenario=scenario,
+        item_to_source=item_to_source,
         subscriber_count=subscribers, duration=duration,
-        tick_interval=tick_interval, host=host, port=port,
+        tick_interval=tick_interval, brokers=brokers, host=host, port=port,
     ))
     report["seed"] = seed
     report["algorithm"] = algorithm

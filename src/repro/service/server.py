@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import asyncio
 import time as _time
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (Any, Callable, Dict, List, Mapping, NamedTuple, Optional,
+                    Sequence, Set, Tuple)
 
 from repro.exceptions import ReproError, SimulationError
 from repro.queries.polynomial import PolynomialQuery
@@ -73,8 +74,312 @@ class _Subscriber:
         return self.queries is None or query_name in self.queries
 
 
-class CoordinatorServer:
+class _Connection:
+    """One peer's conversation: its stream and what it registered as."""
+
+    __slots__ = ("stream", "source_id", "sub")
+
+    def __init__(self, stream: MessageStream):
+        self.stream = stream
+        self.source_id: Optional[int] = None
+        self.sub: Optional[_Subscriber] = None
+
+
+class ConnectionPlane:
+    """The peer-facing connection plane every hop shares.
+
+    :class:`CoordinatorServer`, the cluster router and the fan-out broker
+    all serve peers the same way: validate each frame, dispatch it
+    through :attr:`HANDLERS`, answer anything malformed with an ERROR
+    frame and hang up, and fan NOTIFY frames out through one bounded
+    queue per subscriber whose overflow evicts the slow consumer.  A hop
+    supplies only its handler table, :meth:`_subscription` (what a
+    QUERY_SUB asks for) and :meth:`_snapshot_response` (its SNAPSHOT
+    payload); its ``stats`` dict must carry ``notifies_sent``,
+    ``slow_consumer_evictions``, ``protocol_errors`` and ``subscribers``
+    (and ``sources_registered`` when it serves sources).
+    """
+
+    #: message kind -> name of the ``async (conn, message)`` handler; a
+    #: kind missing from the table ends the conversation with an ERROR.
+    #: Names, not functions, so a handler wrapped on the class after
+    #: import is the one dispatched.
+    HANDLERS: Mapping[MessageType, str] = {
+        MessageType.QUERY_SUB: "_on_query_sub",
+        MessageType.SNAPSHOT: "_on_snapshot",
+    }
+
+    stats: Dict[str, Any]
+
+    def __init__(self, notify_queue_limit: int, writer_join_timeout: float):
+        self.notify_queue_limit = int(notify_queue_limit)
+        #: How long a graceful subscriber drop waits for its writer task
+        #: to flush before cancelling it (seconds).
+        self.writer_join_timeout = float(writer_join_timeout)
+        self._subscribers: Dict[int, _Subscriber] = {}
+        self._sub_counter = 0
+        #: source_id -> its (sole) live stream; replaced on re-register.
+        self._source_streams: Dict[int, MessageStream] = {}
+        self._handler_tasks: Set[asyncio.Task] = set()
+        self._tcp_server: Optional[asyncio.AbstractServer] = None
+        self._maintenance_task: Optional[asyncio.Task] = None
+        #: ``(host, port)`` once :meth:`serve_tcp` binds; ``None`` for
+        #: loopback-only embeddings.
+        self.listen_address: Optional[Tuple[str, int]] = None
+        #: True once ``close()`` ran.  A closed hop refuses new
+        #: connections — this is what makes a supervisor-`crash()`ed
+        #: shard behave like a dead process instead of a still-answering
+        #: zombie behind the router's stale plumbing.
+        self.closed = False
+
+    # -- lifecycle ---------------------------------------------------------------
+
+    async def serve_tcp(self, host: str = "127.0.0.1",
+                        port: int = 0) -> Tuple[str, int]:
+        """Start accepting TCP connections; returns the bound address."""
+        await self._prepare_to_serve()
+
+        async def _accept(reader: asyncio.StreamReader,
+                          writer: asyncio.StreamWriter) -> None:
+            peer = writer.get_extra_info("peername")
+            stream = MessageStream(reader, writer, name=str(peer))
+            await self.handle_connection(stream)
+
+        self._tcp_server = await asyncio.start_server(_accept, host, port)
+        sockname = self._tcp_server.sockets[0].getsockname()
+        self.listen_address = (sockname[0], sockname[1])
+        self.start_maintenance()
+        return sockname[0], sockname[1]
+
+    async def _prepare_to_serve(self) -> None:
+        """Run by :meth:`serve_tcp` before it binds."""
+
+    def start_maintenance(self) -> None:
+        """Start background upkeep; run by :meth:`serve_tcp`."""
+
+    def adopt_connection(self, server_end: MessageStream) -> None:
+        """Serve an externally-built stream (a chaos-wrapped loopback
+        end, for instance) on this hop."""
+        if self.closed:
+            # A dead process cannot accept sockets; a crashed in-process
+            # hop must not either, or failover tests would be talking
+            # to a zombie.
+            server_end.close()
+            return
+        task = asyncio.ensure_future(self.handle_connection(server_end))
+        self._handler_tasks.add(task)
+        task.add_done_callback(self._handler_tasks.discard)
+
+    def connect_loopback(self) -> MessageStream:
+        """A client-end stream connected in process (no sockets) — the
+        transport the CI suite and the in-process loadgen run on."""
+        client_end, server_end = loopback_pair()
+        self.adopt_connection(server_end)
+        return client_end
+
+    async def _close_connections(self) -> None:
+        """Stop maintenance and the listener, drop every subscriber and
+        source, and end every connection handler."""
+        if self._maintenance_task is not None:
+            self._maintenance_task.cancel()
+            try:
+                await self._maintenance_task
+            except (asyncio.CancelledError, Exception):
+                pass
+            self._maintenance_task = None
+        if self._tcp_server is not None:
+            self._tcp_server.close()
+            await self._tcp_server.wait_closed()
+        for sub in list(self._subscribers.values()):
+            await self._drop_subscriber(sub)
+        for stream in list(self._source_streams.values()):
+            stream.close()
+        self._source_streams.clear()
+        for task in list(self._handler_tasks):
+            task.cancel()
+        for task in list(self._handler_tasks):
+            try:
+                await task
+            except (asyncio.CancelledError, Exception):
+                pass
+
+    # -- connection handling -------------------------------------------------------
+
+    async def handle_connection(self, stream: MessageStream) -> None:
+        """Serve one peer until EOF or a protocol violation."""
+        conn = _Connection(stream)
+        try:
+            while True:
+                message = await stream.receive()
+                if message is None:
+                    break
+                try:
+                    kind = protocol.validate_message(message)
+                except ProtocolError as err:
+                    await self._refuse(stream, str(err))
+                    break
+                handler = self.HANDLERS.get(kind)
+                if handler is None:
+                    # NOTIFY/DAB_UPDATE flow from a hop to its peers only;
+                    # a peer sending them (or ERROR) ends the conversation.
+                    await self._refuse(
+                        stream, f"unexpected {kind.value} from a client")
+                    break
+                try:
+                    await getattr(self, handler)(conn, message)
+                except (ValueError, TypeError, KeyError,
+                        ProtocolError) as err:
+                    # validate_message shape-checks every known field, but
+                    # a handler tripping over a hostile payload (or a
+                    # conflicting QUERY_SUB definition) must still answer
+                    # with a protocol error, not kill the task.
+                    await self._refuse(
+                        stream, f"malformed {kind.value} message: {err}")
+                    break
+        except ProtocolError:
+            await self._refuse(stream, "corrupt framing")
+        finally:
+            stream.close()
+            if (conn.source_id is not None
+                    and self._source_streams.get(conn.source_id) is stream):
+                del self._source_streams[conn.source_id]
+            if conn.sub is not None:
+                await self._drop_subscriber(conn.sub)
+
+    async def _refuse(self, stream: MessageStream, reason: str) -> None:
+        self.stats["protocol_errors"] += 1
+        await self._safe_send(stream, protocol.error(reason))
+
+    async def _safe_send(self, stream: MessageStream,
+                         message: Dict[str, Any]) -> bool:
+        try:
+            await stream.send(message)
+            return True
+        except (TransportClosed, ProtocolError):
+            return False
+
+    def _adopt_source(self, conn: _Connection, source_id: int) -> None:
+        """Make ``conn`` the live stream of ``source_id`` (closing the one
+        it replaces)."""
+        previous = self._source_streams.get(source_id)
+        if previous is not None and previous is not conn.stream:
+            previous.close()
+        self._source_streams[source_id] = conn.stream
+        conn.source_id = source_id
+        self.stats["sources_registered"] += 1
+
+    # -- subscriber plane -----------------------------------------------------------
+
+    def _subscription(self, message: Dict[str, Any]
+                      ) -> Tuple[Optional[Set[str]], Set[str]]:
+        """``(query names or None for all, dynamic queries now held)``
+        for a validated QUERY_SUB; raise :class:`ProtocolError` to refuse
+        it."""
+        raise NotImplementedError
+
+    def _snapshot_response(self, sub: Optional[_Subscriber] = None) -> Any:
+        raise NotImplementedError
+
+    def _release_dynamic(self, sub: _Subscriber) -> None:
+        """Release what ``sub`` registered; the server's dynamic queries."""
+
+    async def _send_snapshot(self, stream: MessageStream,
+                             sub: Optional[_Subscriber]) -> None:
+        await self._safe_send(stream, self._snapshot_response(sub))
+
+    async def _on_snapshot(self, conn: _Connection,
+                           message: Dict[str, Any]) -> None:
+        await self._send_snapshot(conn.stream, None)
+
+    async def _on_query_sub(self, conn: _Connection,
+                            message: Dict[str, Any]) -> None:
+        """Subscribe ``conn``; a later QUERY_SUB on the same connection
+        replaces the earlier subscription.  The new one registers before
+        the old one is released, so a query both hold is never removed
+        and re-added."""
+        names, registered = self._subscription(message)
+        limit = (max(self.notify_queue_limit, TRUNK_QUEUE_LIMIT)
+                 if message.get("trunk") else self.notify_queue_limit)
+        self._sub_counter += 1
+        # Looked up by module global at call time: a tracer may swap in
+        # a subclass with a timed queue.
+        sub = _Subscriber(self._sub_counter, conn.stream, names, limit)
+        sub.registered = registered
+        self._subscribers[sub.sub_id] = sub
+        self.stats["subscribers"] = len(self._subscribers)
+        previous, conn.sub = conn.sub, sub
+        if previous is not None:
+            await self._drop_subscriber(previous, close_stream=False)
+        sub.writer_task = asyncio.ensure_future(self._subscriber_writer(sub))
+        await self._send_snapshot(conn.stream, sub)
+
+    def _enqueue(self, sub: _Subscriber, message: Dict[str, Any]) -> None:
+        """Queue one NOTIFY for ``sub``; a full queue evicts it."""
+        try:
+            sub.queue.put_nowait(message)
+        except asyncio.QueueFull:
+            self._evict_slow_consumer(sub)
+
+    def _evict_slow_consumer(self, sub: _Subscriber) -> None:
+        if sub.evicted:
+            return
+        sub.evicted = True
+        self.stats["slow_consumer_evictions"] += 1
+        self._subscribers.pop(sub.sub_id, None)
+        self.stats["subscribers"] = len(self._subscribers)
+        self._release_dynamic(sub)
+        if sub.writer_task is not None:
+            sub.writer_task.cancel()
+        sub.stream.close()
+
+    async def _drop_subscriber(self, sub: _Subscriber,
+                               close_stream: bool = True) -> None:
+        """Unsubscribe ``sub``, letting its writer flush what is queued;
+        ``close_stream=False`` keeps the connection (a replaced
+        subscription)."""
+        self._subscribers.pop(sub.sub_id, None)
+        self.stats["subscribers"] = len(self._subscribers)
+        self._release_dynamic(sub)
+        if sub.writer_task is not None and not sub.writer_task.done():
+            try:
+                sub.queue.put_nowait(None)     # graceful: flush, then stop
+            except asyncio.QueueFull:
+                # Exactly-full queue (eviction only fires on overflow):
+                # no room for the sentinel, so drop the backlog instead.
+                sub.writer_task.cancel()
+            try:
+                await asyncio.wait_for(sub.writer_task,
+                                       timeout=self.writer_join_timeout)
+            except (asyncio.TimeoutError, asyncio.CancelledError):
+                sub.writer_task.cancel()
+        if close_stream:
+            sub.stream.close()
+
+    async def _subscriber_writer(self, sub: _Subscriber) -> None:
+        """Drain one subscriber's queue onto its stream."""
+        try:
+            while True:
+                message = await sub.queue.get()
+                if message is None:
+                    return
+                await sub.stream.send(message)
+                self.stats["notifies_sent"] += 1
+        except (TransportClosed, ProtocolError):
+            self._subscribers.pop(sub.sub_id, None)
+            self.stats["subscribers"] = len(self._subscribers)
+            sub.stream.close()
+
+
+class CoordinatorServer(ConnectionPlane):
     """Serve continuous polynomial queries over live refresh streams."""
+
+    HANDLERS: Mapping[MessageType, str] = {
+        **ConnectionPlane.HANDLERS,
+        MessageType.REGISTER_SOURCE: "_on_register_source",
+        MessageType.REFRESH: "_on_refresh",
+        MessageType.HEARTBEAT: "_on_heartbeat",
+        MessageType.DAB_ACK: "_on_dab_ack",
+    }
 
     def __init__(
         self,
@@ -102,6 +407,7 @@ class CoordinatorServer:
         bank_index: str = "flat",
         shard_id: Optional[int] = None,
     ):
+        super().__init__(notify_queue_limit, writer_join_timeout)
         self.metrics = metrics if metrics is not None else MetricsCollector(
             recompute_cost=recompute_cost)
         self.core = CoordinatorCore(
@@ -126,7 +432,6 @@ class CoordinatorServer:
         self._journal_attached = False
         #: The last :meth:`restore` report (records replayed, wall time).
         self.last_recovery: Optional[Dict[str, Any]] = None
-        self.notify_queue_limit = int(notify_queue_limit)
         self._query_names = {query.name for query in self.core.queries}
         #: name -> query object (O(1) duplicate/conflict checks on the
         #: incremental QUERY_SUB registration path — never an O(bank)
@@ -135,10 +440,6 @@ class CoordinatorServer:
         self._query_objects = {query.name: query
                                for query in self.core.queries}
         self._dynamic_refs: Dict[str, int] = {}
-
-        #: How long a graceful subscriber drop waits for its writer task
-        #: to flush before cancelling it (seconds).
-        self.writer_join_timeout = float(writer_join_timeout)
         #: The time source for all liveness bookkeeping — wall clock by
         #: default, a logical step clock under the chaos soak.
         self.clock = clock
@@ -167,19 +468,12 @@ class CoordinatorServer:
         self.dab_retry_policy = dab_retry_policy
         self._outstanding_dabs: Dict[int, Dict[str, Any]] = {}
         self._dab_msg_counter = 0
-        self._maintenance_task: Optional[asyncio.Task] = None
         self.solver_breaker = solver_breaker
 
-        #: source_id -> its (sole) live stream; replaced on re-register.
-        self._source_streams: Dict[int, MessageStream] = {}
-        self._subscribers: Dict[int, _Subscriber] = {}
-        self._sub_counter = 0
         #: item -> highest refresh sequence number accepted (dedup guard).
         self.last_seq: Dict[str, int] = {}
         #: source_id -> wall-clock time of the last refresh/heartbeat.
         self.last_heard: Dict[int, float] = {}
-        self._tcp_server: Optional[asyncio.AbstractServer] = None
-        self._handler_tasks: Set[asyncio.Task] = set()
         #: This coordinator's shard id inside a cluster (``None`` when it
         #: is the whole deployment); stamped on NOTIFY/SNAPSHOT frames so
         #: the router can attribute partial aggregates.
@@ -192,14 +486,6 @@ class CoordinatorServer:
         #: the old map must not land on an item this shard no longer
         #: owns (or owns again under different budgets).
         self.map_epoch: Optional[int] = None
-        #: True once :meth:`close` ran.  A closed server refuses new
-        #: connections — this is what makes a supervisor-`crash()`ed
-        #: shard behave like a dead process instead of a still-answering
-        #: zombie behind the router's stale plumbing.
-        self.closed = False
-        #: ``(host, port)`` once :meth:`serve_tcp` binds; ``None`` for
-        #: loopback-only embeddings.
-        self.listen_address: Optional[Tuple[str, int]] = None
         self.stats = {
             "refreshes_accepted": 0,
             "refreshes_rejected_stale_seq": 0,
@@ -216,21 +502,6 @@ class CoordinatorServer:
         }
 
     # -- lifecycle ---------------------------------------------------------------
-
-    async def serve_tcp(self, host: str = "127.0.0.1",
-                        port: int = 0) -> Tuple[str, int]:
-        """Start accepting TCP connections; returns the bound address."""
-        async def _accept(reader: asyncio.StreamReader,
-                          writer: asyncio.StreamWriter) -> None:
-            peer = writer.get_extra_info("peername")
-            stream = MessageStream(reader, writer, name=str(peer))
-            await self.handle_connection(stream)
-
-        self._tcp_server = await asyncio.start_server(_accept, host, port)
-        sockname = self._tcp_server.sockets[0].getsockname()
-        self.listen_address = (sockname[0], sockname[1])
-        self.start_maintenance()
-        return sockname[0], sockname[1]
 
     def start_maintenance(self) -> None:
         """Run lease checks and DAB retries on a background task.
@@ -253,26 +524,6 @@ class CoordinatorServer:
             await self.check_leases()
             await self.check_retries()
 
-    def adopt_connection(self, server_end: MessageStream) -> None:
-        """Serve an externally-built stream (a chaos-wrapped loopback
-        end, for instance) on this server."""
-        if self.closed:
-            # A dead process cannot accept sockets; a crashed in-process
-            # shard must not either, or failover tests would be talking
-            # to a zombie.
-            server_end.close()
-            return
-        task = asyncio.ensure_future(self.handle_connection(server_end))
-        self._handler_tasks.add(task)
-        task.add_done_callback(self._handler_tasks.discard)
-
-    def connect_loopback(self) -> MessageStream:
-        """A client-end stream connected in process (no sockets) — the
-        transport the CI suite and the in-process loadgen run on."""
-        client_end, server_end = loopback_pair()
-        self.adopt_connection(server_end)
-        return client_end
-
     async def close(self, final_snapshot: bool = True) -> None:
         """Shut down.  ``final_snapshot=False`` models a hard kill: the
         journal handle is dropped with no parting snapshot, so the next
@@ -290,28 +541,7 @@ class CoordinatorServer:
             # Appends are unbuffered, so closing the handle loses nothing
             # even on the kill path — only the parting snapshot is skipped.
             self.journal.close()
-        if self._maintenance_task is not None:
-            self._maintenance_task.cancel()
-            try:
-                await self._maintenance_task
-            except (asyncio.CancelledError, Exception):
-                pass
-            self._maintenance_task = None
-        if self._tcp_server is not None:
-            self._tcp_server.close()
-            await self._tcp_server.wait_closed()
-        for subscriber in list(self._subscribers.values()):
-            await self._drop_subscriber(subscriber)
-        for stream in list(self._source_streams.values()):
-            stream.close()
-        self._source_streams.clear()
-        for task in list(self._handler_tasks):
-            task.cancel()
-        for task in list(self._handler_tasks):
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
+        await self._close_connections()
 
     # -- durability ------------------------------------------------------------------
 
@@ -499,76 +729,10 @@ class CoordinatorServer:
         self.core.adopt_item(item, float(value), source_id=source_id,
                              seq=int(seq_floor) if seq_floor else None)
 
-    # -- connection handling -------------------------------------------------------
-
-    async def handle_connection(self, stream: MessageStream) -> None:
-        """Serve one peer until EOF or a protocol violation."""
-        source_id: Optional[int] = None
-        sub: Optional[_Subscriber] = None
-        try:
-            while True:
-                message = await stream.receive()
-                if message is None:
-                    break
-                try:
-                    kind = protocol.validate_message(message)
-                except ProtocolError as err:
-                    self.stats["protocol_errors"] += 1
-                    await self._safe_send(stream, protocol.error(str(err)))
-                    break
-                try:
-                    if kind is MessageType.REGISTER_SOURCE:
-                        source_id = await self._on_register_source(
-                            stream, message)
-                    elif kind is MessageType.REFRESH:
-                        await self._on_refresh(stream, message)
-                    elif kind is MessageType.HEARTBEAT:
-                        await self._on_heartbeat(message)
-                    elif kind is MessageType.DAB_ACK:
-                        self._on_dab_ack(message)
-                    elif kind is MessageType.QUERY_SUB:
-                        sub = await self._on_query_sub(stream, message)
-                    elif kind is MessageType.SNAPSHOT:
-                        await self._safe_send(stream, self._snapshot_response())
-                    else:
-                        # NOTIFY/DAB_UPDATE are server-to-peer only; a peer
-                        # sending them (or ERROR) ends the conversation.
-                        self.stats["protocol_errors"] += 1
-                        await self._safe_send(stream, protocol.error(
-                            f"unexpected {kind.value} from a client"))
-                        break
-                except (ValueError, TypeError, KeyError,
-                        ProtocolError) as err:
-                    # validate_message shape-checks every known field, but
-                    # a handler tripping over a hostile payload (or a
-                    # conflicting QUERY_SUB definition) must still answer
-                    # with a protocol error, not kill the task.
-                    self.stats["protocol_errors"] += 1
-                    await self._safe_send(stream, protocol.error(
-                        f"malformed {kind.value} message: {err}"))
-                    break
-        except ProtocolError:
-            self.stats["protocol_errors"] += 1
-            await self._safe_send(stream, protocol.error("corrupt framing"))
-        finally:
-            stream.close()
-            if source_id is not None and self._source_streams.get(source_id) is stream:
-                del self._source_streams[source_id]
-            if sub is not None:
-                await self._drop_subscriber(sub)
-
-    async def _safe_send(self, stream: MessageStream,
-                         message: Dict[str, Any]) -> bool:
-        try:
-            await stream.send(message)
-            return True
-        except (TransportClosed, ProtocolError):
-            return False
-
     # -- source-plane handlers ------------------------------------------------------
 
-    async def _on_register_source(self, stream: MessageStream,
-                                  message: Dict[str, Any]) -> int:
+    async def _on_register_source(self, conn: _Connection,
+                                  message: Dict[str, Any]) -> None:
         """Adopt (or re-adopt) a source; programming its current DABs in
         the reply doubles as crash/reconnect resync."""
         source_id = int(message["source_id"])
@@ -577,12 +741,8 @@ class CoordinatorServer:
         unknown = [name for name in message["items"] if name not in known]
         if unknown:
             self.metrics.record_misrouted_bounds(len(unknown))
-        previous = self._source_streams.get(source_id)
-        if previous is not None and previous is not stream:
-            previous.close()
-        self._source_streams[source_id] = stream
+        self._adopt_source(conn, source_id)
         self.last_heard[source_id] = self.clock()
-        self.stats["sources_registered"] += 1
         # The reply re-programs every current bound, superseding whatever
         # changed-bound deliveries were still being retried to this source.
         if self._outstanding_dabs:
@@ -598,13 +758,12 @@ class CoordinatorServer:
         # stale refresh from the dead connection clobber the cache).
         seqs = {name: self.last_seq[name] for name in known
                 if name in self.last_seq}
-        if await self._safe_send(stream,
+        if await self._safe_send(conn.stream,
                                  protocol.dab_update(source_id, bounds, epochs,
                                                      seqs=seqs or None)):
             self.stats["dab_updates_sent"] += 1
-        return source_id
 
-    async def _on_refresh(self, stream: MessageStream,
+    async def _on_refresh(self, conn: Optional[_Connection],
                           message: Dict[str, Any]) -> None:
         item = message["item"]
         frame_epoch = message.get("map_epoch")
@@ -688,7 +847,8 @@ class CoordinatorServer:
                                                      epochs, msg_id=msg_id)):
             self.stats["dab_updates_sent"] += 1
 
-    def _on_dab_ack(self, message: Dict[str, Any]) -> None:
+    async def _on_dab_ack(self, conn: _Connection,
+                          message: Dict[str, Any]) -> None:
         self._outstanding_dabs.pop(int(message["msg_id"]), None)
         self.stats["dab_acks_received"] += 1
 
@@ -724,7 +884,8 @@ class CoordinatorServer:
 
     # -- staleness leases -----------------------------------------------------------
 
-    async def _on_heartbeat(self, message: Dict[str, Any]) -> None:
+    async def _on_heartbeat(self, conn: _Connection,
+                            message: Dict[str, Any]) -> None:
         """Renew leases for in-sync items; a seq gap means a refresh we
         never received — the item goes suspect and its value is probed
         (the source is demonstrably alive, so the reply is immediate)."""
@@ -873,10 +1034,7 @@ class CoordinatorServer:
                 map_epoch=self.map_epoch,
                 degraded={name: bound for name, bound in degraded.items()
                           if sub.wants(name)})
-            try:
-                sub.queue.put_nowait(message)
-            except asyncio.QueueFull:
-                self._evict_slow_consumer(sub)
+            self._enqueue(sub, message)
 
     # -- subscriber plane -----------------------------------------------------------
 
@@ -944,8 +1102,8 @@ class CoordinatorServer:
             self._query_names.discard(name)
         sub.registered = set()
 
-    async def _on_query_sub(self, stream: MessageStream,
-                            message: Dict[str, Any]) -> _Subscriber:
+    def _subscription(self, message: Dict[str, Any]
+                      ) -> Tuple[Optional[Set[str]], Set[str]]:
         registered: Set[str] = set()
         definitions = message.get("definitions")
         if definitions:
@@ -958,16 +1116,7 @@ class CoordinatorServer:
             # Definitions are implicitly subscribed — naming them again
             # in ``queries`` would be redundant boilerplate.
             names |= {data["name"] for data in definitions or []}
-        self._sub_counter += 1
-        limit = (max(self.notify_queue_limit, TRUNK_QUEUE_LIMIT)
-                 if message.get("trunk") else self.notify_queue_limit)
-        sub = _Subscriber(self._sub_counter, stream, names, limit)
-        sub.registered = registered
-        self._subscribers[sub.sub_id] = sub
-        self.stats["subscribers"] = len(self._subscribers)
-        sub.writer_task = asyncio.ensure_future(self._subscriber_writer(sub))
-        await self._safe_send(stream, self._snapshot_response(sub))
-        return sub
+        return names, registered
 
     def _snapshot_response(self, sub: Optional[_Subscriber] = None
                            ) -> Dict[str, Any]:
@@ -1005,56 +1154,7 @@ class CoordinatorServer:
                 degraded=None if degraded is None else
                 {name: bound for name, bound in degraded.items()
                  if sub.wants(name)})
-            try:
-                sub.queue.put_nowait(message)
-            except asyncio.QueueFull:
-                self._evict_slow_consumer(sub)
-
-    def _evict_slow_consumer(self, sub: _Subscriber) -> None:
-        if sub.evicted:
-            return
-        sub.evicted = True
-        self.stats["slow_consumer_evictions"] += 1
-        self._subscribers.pop(sub.sub_id, None)
-        self.stats["subscribers"] = len(self._subscribers)
-        self._release_dynamic(sub)
-        if sub.writer_task is not None:
-            sub.writer_task.cancel()
-        sub.stream.close()
-
-    async def _drop_subscriber(self, sub: _Subscriber) -> None:
-        self._subscribers.pop(sub.sub_id, None)
-        self.stats["subscribers"] = len(self._subscribers)
-        self._release_dynamic(sub)
-        if sub.writer_task is not None and not sub.writer_task.done():
-            try:
-                sub.queue.put_nowait(None)     # graceful: flush, then stop
-            except asyncio.QueueFull:
-                # Exactly-full queue (eviction only fires on overflow):
-                # no room for the sentinel, so drop the backlog instead.
-                sub.writer_task.cancel()
-            try:
-                await asyncio.wait_for(sub.writer_task,
-                                       timeout=self.writer_join_timeout)
-            except (asyncio.TimeoutError, asyncio.CancelledError):
-                sub.writer_task.cancel()
-        sub.stream.close()
-
-    async def _subscriber_writer(self, sub: _Subscriber) -> None:
-        """Drain one subscriber's queue onto its stream."""
-        try:
-            while True:
-                message = await sub.queue.get()
-                if message is None:
-                    return
-                await sub.stream.send(message)
-                self.stats["notifies_sent"] += 1
-        except (TransportClosed, ProtocolError):
-            self._subscribers.pop(sub.sub_id, None)
-            self.stats["subscribers"] = len(self._subscribers)
-            sub.stream.close()
-        except asyncio.CancelledError:
-            raise
+            self._enqueue(sub, message)
 
     # -- introspection ---------------------------------------------------------------
 
@@ -1110,6 +1210,68 @@ class CoordinatorServer:
 # scenario-driven construction (shared by `repro serve` and the loadgen)
 # ---------------------------------------------------------------------------
 
+class _ScenarioParts(NamedTuple):
+    scenario: Any
+    config: Any
+    #: the recompute mode of ``config.algorithm``
+    mode: RecomputeMode
+    #: a fresh planner stack per call (one per shard in a cluster)
+    make_planner: Callable[[], object]
+    item_to_source: Dict[str, int]
+
+
+def _scenario_parts(query_count: int, item_count: int, source_count: int,
+                    trace_length: int, seed: int, algorithm: str,
+                    recompute_cost: float, workload: str, vectorize: bool,
+                    recompute_mode: str, bank_index: str) -> _ScenarioParts:
+    """The scenario pipeline every live deployment is built from: the
+    simulator's workload generator, rate estimation and planner stack."""
+    # Imported here: these pull in repro.simulation, which imports
+    # repro.service.core — keeping the heavy imports out of module scope
+    # keeps the import graph acyclic from every entry point.
+    from repro.dynamics.estimation import SampledRateEstimator
+    from repro.filters.caching import QuantisingCachePlanner
+    from repro.filters.cost_model import CostModel
+    from repro.simulation.harness import (
+        AlgorithmName,
+        SimulationConfig,
+        _SINGLE_DAB_MODES,
+        build_planner,
+    )
+    from repro.simulation.source import assign_items_to_sources
+    from repro.workloads import scaled_scenario
+
+    scenario = scaled_scenario(
+        query_count=query_count, item_count=item_count,
+        trace_length=trace_length, source_count=source_count,
+        query_kind=workload, seed=seed,
+    )
+    config = SimulationConfig(
+        queries=scenario.queries, traces=scenario.traces,
+        algorithm=algorithm, recompute_cost=recompute_cost,
+        source_count=source_count, seed=seed, vectorize=vectorize,
+        recompute_mode=recompute_mode, bank_index=bank_index,
+    )
+    if config.algorithm is AlgorithmName.AAO_T:
+        raise ReproError("the live service has no periodic scheduler yet; "
+                         "pick a per-query algorithm")
+    items = config.used_items
+    rates = SampledRateEstimator().estimate_all(config.traces, items)
+    cost_model = CostModel(ddm=config.ddm, rates=rates,
+                           recompute_cost=recompute_cost)
+
+    def make_planner() -> object:
+        planner = build_planner(config, cost_model)
+        if config.cache_grid is not None:
+            planner = QuantisingCachePlanner(planner, grid=config.cache_grid,
+                                             bank_index_mode=bank_index)
+        return planner
+
+    return _ScenarioParts(scenario, config, _SINGLE_DAB_MODES[config.algorithm],
+                          make_planner,
+                          assign_items_to_sources(items, source_count))
+
+
 def build_scenario_server(
     query_count: int = 10,
     item_count: int = 30,
@@ -1138,54 +1300,19 @@ def build_scenario_server(
     sides derive the same scenario; the server is authoritative for
     planning, the agents for the item traces.
     """
-    # Imported here: these pull in repro.simulation, which imports
-    # repro.service.core — keeping the heavy imports out of module scope
-    # keeps the import graph acyclic from every entry point.
-    from repro.simulation.harness import (
-        AlgorithmName,
-        SimulationConfig,
-        _SINGLE_DAB_MODES,
-        build_planner,
-    )
-    from repro.simulation.source import assign_items_to_sources
-    from repro.workloads import scaled_scenario
-
-    scenario = scaled_scenario(
-        query_count=query_count, item_count=item_count,
-        trace_length=trace_length, source_count=source_count,
-        query_kind=workload, seed=seed,
-    )
-    config = SimulationConfig(
-        queries=scenario.queries, traces=scenario.traces,
-        algorithm=algorithm, recompute_cost=recompute_cost,
-        source_count=source_count, seed=seed, vectorize=vectorize,
-        recompute_mode=recompute_mode, bank_index=bank_index,
-    )
-    if config.algorithm is AlgorithmName.AAO_T:
-        raise ReproError("the live service has no periodic scheduler yet; "
-                         "pick a per-query algorithm")
-    from repro.dynamics.estimation import SampledRateEstimator
-    from repro.filters.caching import QuantisingCachePlanner
-    from repro.filters.cost_model import CostModel
-
-    items = config.used_items
-    rates = SampledRateEstimator().estimate_all(config.traces, items)
-    cost_model = CostModel(ddm=config.ddm, rates=rates,
-                           recompute_cost=recompute_cost)
-    planner = build_planner(config, cost_model)
-    if config.cache_grid is not None:
-        planner = QuantisingCachePlanner(planner, grid=config.cache_grid,
-                                         bank_index_mode=bank_index)
-    item_to_source = assign_items_to_sources(items, source_count)
+    parts = _scenario_parts(
+        query_count, item_count, source_count, trace_length, seed, algorithm,
+        recompute_cost, workload, vectorize, recompute_mode, bank_index)
+    config = parts.config
     server = CoordinatorServer(
-        queries=config.queries, planner=planner,
-        initial_values=config.traces.initial_values(items),
-        item_to_source=item_to_source,
-        mode=_SINGLE_DAB_MODES[config.algorithm],
+        queries=config.queries, planner=parts.make_planner(),
+        initial_values=config.traces.initial_values(config.used_items),
+        item_to_source=parts.item_to_source,
+        mode=parts.mode,
         vectorize=vectorize, recompute_cost=recompute_cost,
         notify_queue_limit=notify_queue_limit,
         recompute_strategy=recompute_mode,
         bank_index=bank_index,
         **server_kwargs,
     )
-    return server, scenario, item_to_source
+    return server, parts.scenario, parts.item_to_source

@@ -6,7 +6,7 @@ import pytest
 
 from repro.service import protocol
 from repro.service.client import ServiceClient
-from repro.service.cluster.loadgen import run_cluster_loadgen
+from repro.service.loadgen import run_loadgen as run_cluster_loadgen
 from repro.service.cluster.router import build_scenario_cluster
 from repro.service.protocol import MessageType
 from repro.service.server import build_scenario_server
