@@ -1,9 +1,9 @@
 """Section V "Solver" table — DAB solve times.
 
 Paper (CVXOPT on a 2.66 GHz P4): Dual-DAB ~40-70 ms per PPQ; AAO
-600-750 ms for 10 PPQs.  Our scipy-based GP must land in the same ballpark
-(faster hardware, so we assert generous upper bounds and report exact
-numbers).
+600-750 ms for 10 PPQs.  Our GP layer (numpy log-sum-exp kernels under
+scipy.optimize's SLSQP) must land in the same ballpark (faster hardware,
+so we assert generous upper bounds and report exact numbers).
 """
 
 import pytest

@@ -53,7 +53,14 @@ from repro.filters.assignment import DABAssignment
 from repro.filters.dual_dab import RECOMPUTE_RATE_VARIABLE, DualDABPlanner
 from repro.gp.program import CompiledFunction, CompiledProgram
 from repro.gp.sensitivity import kkt_residual
-from repro.gp.solver import FEASIBILITY_TOL, _Y_BOUND
+from repro.gp.solver import (
+    FEASIBILITY_TOL,
+    _Y_BOUND,
+    _ConstraintBundle,
+    _lse_grad,
+    _lse_value,
+    _softmax,
+)
 from repro.queries.bank_index import template_key
 from repro.queries.deviation import primary_variable, secondary_variable
 from repro.queries.polynomial import PolynomialQuery
@@ -82,74 +89,34 @@ _MAX_LOG_STEP = 2.0
 _MAX_LATENCY_SAMPLES = 100_000
 
 
-# -- fast log-sum-exp kernels ------------------------------------------------------
-#
-# The solver's `_lse_value`/`_lse_grad` go through scipy's logsumexp/softmax,
-# whose array-API dispatch costs ~0.25 ms per call — fine inside an SLSQP
-# solve (two batched callbacks per iteration), fatal for a patch that sweeps
-# every constraint several times.  These hand-rolled equivalents keep a
-# Newton patch in the hundreds of microseconds; the solve path keeps scipy so
-# full-mode trajectories stay bitwise identical to the pre-delta code.
-
-
-def _fast_value(func: CompiledFunction, y: np.ndarray) -> float:
-    z = func.A @ y + func.log_c
-    if z.shape[0] == 1:
-        return float(z[0])
-    m = float(np.max(z))
-    return m + math.log(float(np.sum(np.exp(z - m))))
-
-
-def _fast_weights(func: CompiledFunction, y: np.ndarray) -> np.ndarray:
-    z = func.A @ y + func.log_c
-    w = np.exp(z - np.max(z))
-    return w / w.sum()
-
-
-def _fast_grad(func: CompiledFunction, y: np.ndarray) -> np.ndarray:
-    if func.A.shape[0] == 1:
-        return func.A[0]
-    return _fast_weights(func, y) @ func.A
-
-
-def _fast_hessian(func: CompiledFunction, y: np.ndarray) -> np.ndarray:
-    weights = _fast_weights(func, y)
+def _lse_hessian(func: CompiledFunction, y: np.ndarray) -> np.ndarray:
+    """Hessian of ``F(y) = logsumexp(A y + log c)``:
+    ``Aᵀ (diag(w) - w wᵀ) A`` with softmax weights ``w`` — positive
+    semi-definite, which is what makes the log-space program convex and a
+    warm Newton-KKT patch on it sound."""
+    weights = _softmax(func.A @ y + func.log_c)
     weighted = func.A * weights[:, None]
     mean = weights @ func.A
     return func.A.T @ weighted - np.outer(mean, mean)
 
 
 class _BatchedConstraints:
-    """All constraint values of a compiled program in one sweep: the
-    monomial (single-row) constraints collapse to a single matvec, only the
-    few true posynomials (qab, recompute) pay a log-sum-exp each.  Built per
-    patch, *after* the template refresh, so the offsets are current."""
+    """All constraint values of a compiled program in one sweep, in the
+    program's constraint order: the solver's bundle (the monomial rows as a
+    single matvec, one log-sum-exp per true posynomial) permuted back.
+    Built per patch, *after* the template refresh, so the offsets are
+    current."""
 
     def __init__(self, compiled: CompiledProgram):
         self.m = len(compiled.constraints)
-        linear_index: List[int] = []
-        linear_rows: List[np.ndarray] = []
-        linear_offsets: List[float] = []
-        self.nonlinear: List[tuple] = []
-        for i, func in enumerate(compiled.constraints):
-            if func.A.shape[0] == 1:
-                linear_index.append(i)
-                linear_rows.append(func.A[0])
-                linear_offsets.append(float(func.log_c[0]))
-            else:
-                self.nonlinear.append((i, func))
-        dimension = len(compiled.variables)
-        self.linear_index = np.asarray(linear_index, dtype=int)
-        self.A_lin = (np.vstack(linear_rows) if linear_rows
-                      else np.zeros((0, dimension)))
-        self.c_lin = np.asarray(linear_offsets)
+        self.bundle = _ConstraintBundle(compiled)
+        # The bundle lists the single-row constraints first, then the rest.
+        posynomial = [func.A.shape[0] > 1 for func in compiled.constraints]
+        self.order = np.argsort(posynomial, kind="stable")
 
     def values(self, y: np.ndarray) -> np.ndarray:
         out = np.empty(self.m)
-        if self.linear_index.size:
-            out[self.linear_index] = self.A_lin @ y + self.c_lin
-        for i, func in self.nonlinear:
-            out[i] = _fast_value(func, y)
+        out[self.order] = self.bundle.values(y)
         return out
 
 
@@ -312,18 +279,18 @@ def _newton_working_set(
     if k:
         from scipy.optimize import nnls
 
-        A0 = np.vstack([_fast_grad(func, y) for func in constraints])
+        A0 = np.vstack([_lse_grad(func, y) for func in constraints])
         try:
-            nu = nnls(A0.T, -_fast_grad(compiled.objective, y))[0]
+            nu = nnls(A0.T, -_lse_grad(compiled.objective, y))[0]
         except (ValueError, RuntimeError):
             nu = np.zeros(k)
     eye = np.eye(n)
     residual = math.inf
     for iteration in range(max_iterations):
-        grad0 = _fast_grad(compiled.objective, y)
+        grad0 = _lse_grad(compiled.objective, y)
         if k:
-            A = np.vstack([_fast_grad(func, y) for func in constraints])
-            c = np.array([_fast_value(func, y) for func in constraints])
+            A = np.vstack([_lse_grad(func, y) for func in constraints])
+            c = np.array([_lse_value(func, y) for func in constraints])
             stationarity = grad0 + A.T @ nu
             residual = max(float(np.max(np.abs(stationarity))),
                            float(np.max(np.abs(c))))
@@ -334,10 +301,10 @@ def _newton_working_set(
             residual = float(np.max(np.abs(stationarity))) if n else 0.0
         if residual <= kkt_tol:
             return y, nu, residual, iteration
-        H = _fast_hessian(compiled.objective, y)
+        H = _lse_hessian(compiled.objective, y)
         for multiplier, func in zip(nu, constraints):
             if multiplier > 0.0 and func.A.shape[0] > 1:
-                H = H + multiplier * _fast_hessian(func, y)
+                H = H + multiplier * _lse_hessian(func, y)
         system = np.zeros((n + k, n + k))
         system[:n, :n] = H + 1e-10 * eye
         system[:n, n:] = A.T
@@ -407,7 +374,7 @@ def newton_patch(
         negative = [j for j, multiplier in enumerate(nu)
                     if multiplier < -_DUAL_TOL]
         if not violated and not negative:
-            objective = math.exp(_fast_value(compiled.objective, y))
+            objective = math.exp(_lse_value(compiled.objective, y))
             final_residual = kkt_residual(
                 compiled, y, working, np.maximum(nu, 0.0))
             if final_residual > 10.0 * kkt_tol:

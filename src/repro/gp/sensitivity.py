@@ -19,16 +19,20 @@ solve, and the fit residual is reported so callers can tell.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 from scipy.optimize import nnls
 
 from repro.exceptions import GPError
-from repro.gp.program import CompiledFunction, CompiledProgram, GeometricProgram
-from repro.gp.solver import GPSolution, _lse_grad
+from repro.gp.program import CompiledProgram, GeometricProgram
+from repro.gp.solver import (
+    GPSolution,
+    _lse_grad,
+    _lse_value,
+    _lse_value_and_grad,
+)
 
 #: A constraint counts as active when ``|g(t) - 1|`` is below this.
 ACTIVE_TOL = 1e-4
@@ -93,7 +97,7 @@ def analyze_compiled(compiled: CompiledProgram,
     active_gradients: List[np.ndarray] = []
     active_names: List[str] = []
     for name, func in zip(compiled.constraint_names, compiled.constraints):
-        value = float(np.exp(_lse_value_for(func, y)))
+        value = float(np.exp(_lse_value(func, y)))
         if abs(value - 1.0) <= ACTIVE_TOL:
             active_gradients.append(_lse_grad(func, y))
             active_names.append(name)
@@ -116,12 +120,6 @@ def analyze_compiled(compiled: CompiledProgram,
     )
 
 
-def _lse_value_for(func: CompiledFunction, y: np.ndarray) -> float:
-    from scipy.special import logsumexp
-
-    return float(logsumexp(func.A @ y + func.log_c))
-
-
 def kkt_residual(compiled: CompiledProgram, y: np.ndarray,
                  working: "List[int]", nu: np.ndarray) -> float:
     """∞-norm of the KKT residual of a working-set iterate.
@@ -134,19 +132,10 @@ def kkt_residual(compiled: CompiledProgram, y: np.ndarray,
     their violation calls for an active-set update rather than more Newton
     steps.  This is the acceptance metric of the delta-recompute patch.
     """
-    def value_and_grad(func: CompiledFunction):
-        # Plain-numpy log-sum-exp: this runs once per accepted patch, where
-        # scipy's array-API dispatch overhead would dwarf the arithmetic.
-        z = func.A @ y + func.log_c
-        peak = float(np.max(z))
-        weights = np.exp(z - peak)
-        total = float(weights.sum())
-        return peak + math.log(total), (weights / total) @ func.A
-
-    _, stationarity = value_and_grad(compiled.objective)
+    stationarity = _lse_grad(compiled.objective, y)
     primal = 0.0
     for multiplier, index in zip(nu, working):
-        value, grad = value_and_grad(compiled.constraints[index])
+        value, grad = _lse_value_and_grad(compiled.constraints[index], y)
         stationarity = stationarity + multiplier * grad
         primal = max(primal, abs(value))
     return max(float(np.max(np.abs(stationarity))), primal)

@@ -1,4 +1,4 @@
-"""Log-space GP solver built on scipy.
+"""Log-space GP solver: numpy kernels under scipy.optimize's SLSQP.
 
 The substitution ``y = log t`` turns every posynomial ``f(t)`` into
 ``F(y) = logsumexp(A y + log c)``, a smooth convex function whose gradient is
@@ -11,6 +11,10 @@ log-space and are batched into a single vector-valued constraint; the
 (few) true posynomial constraints are batched into a second one — so SLSQP
 sees two callbacks per iteration instead of one per constraint, which keeps
 each DAB recomputation in the low milliseconds.
+
+The log-sum-exp/softmax kernels are plain numpy repeating scipy.special's
+arithmetic step for step (bitwise equal, without its ~0.1 ms per-call
+dispatch); sensitivity analysis and the delta-recompute patch use them too.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import NonlinearConstraint, minimize
-from scipy.special import logsumexp, softmax
 
 from repro.exceptions import InfeasibleProblemError, SolverFailedError
 from repro.gp.diagnostics import SolveReport
@@ -57,24 +60,48 @@ class GPSolution:
         return self.values[name]
 
 
+def _logsumexp(z: np.ndarray) -> float:
+    """``log(sum(exp(z)))`` for a 1-D float array, bitwise equal to
+    ``scipy.special.logsumexp(z)``: the maxima are split out of the shifted
+    sum, which is then divided by their count ``m``, and the result is
+    ``log1p(s) + log(m) + max``."""
+    if z.shape[0] == 1:
+        return 0.0 + float(z[0])   # scipy's log1p(0) + log(1) + z[0]
+    a_max = z.max()
+    mask = z == a_max
+    m = float(np.count_nonzero(mask))
+    s = np.exp(np.where(mask, -np.inf, z) - a_max).sum()
+    if s != 0.0:
+        s = s / m
+    out = float(np.log1p(s) + np.log(m) + a_max)
+    # scipy's fallback for infinite or all-``-inf`` input:
+    return out if math.isfinite(out) else float(np.log(np.exp(z).sum()))
+
+
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """``scipy.special.softmax(z)`` for a 1-D float array, bitwise."""
+    e = np.exp(z - z.max())
+    return e / e.sum()
+
+
 def _lse_value(func: CompiledFunction, y: np.ndarray) -> float:
-    return float(logsumexp(func.A @ y + func.log_c))
+    return _logsumexp(func.A @ y + func.log_c)
 
 
 def _lse_grad(func: CompiledFunction, y: np.ndarray) -> np.ndarray:
-    weights = softmax(func.A @ y + func.log_c)
-    return weights @ func.A
+    """``∇F(y)``; for a monomial it is a view of the row of ``A``, so
+    callers must not write to it."""
+    if func.A.shape[0] == 1:
+        return func.A[0]
+    return _softmax(func.A @ y + func.log_c) @ func.A
 
 
-def _lse_hessian(func: CompiledFunction, y: np.ndarray) -> np.ndarray:
-    """Hessian of ``F(y) = logsumexp(A y + log c)``:
-    ``Aᵀ (diag(w) - w wᵀ) A`` with softmax weights ``w`` — positive
-    semi-definite, which is what makes the log-space program convex and a
-    warm Newton-KKT patch on it sound (see filters/delta_recompute.py)."""
-    weights = softmax(func.A @ y + func.log_c)
-    weighted = func.A * weights[:, None]
-    mean = weights @ func.A
-    return func.A.T @ weighted - np.outer(mean, mean)
+def _lse_value_and_grad(func: CompiledFunction,
+                        y: np.ndarray) -> Tuple[float, np.ndarray]:
+    """``(F(y), ∇F(y))`` from one ``z = A y + log c``; the gradient is a
+    fresh array (scipy.optimize may keep and reuse it)."""
+    z = func.A @ y + func.log_c
+    return _logsumexp(z), _softmax(z) @ func.A
 
 
 class _ConstraintBundle:
@@ -105,18 +132,31 @@ class _ConstraintBundle:
                       else np.zeros((0, dimension)))
         self.c_lin = np.asarray(linear_offsets)
         self.size = self.A_lin.shape[0] + len(self.nonlinear)
+        self._key: Optional[bytes] = None
+        self._z: List[np.ndarray] = []
+
+    def _exponents(self, y: np.ndarray) -> List[np.ndarray]:
+        """Each posynomial row's ``z = A y + log c``, computed once per
+        point: SLSQP and the phase-1 merit ask for the values and the
+        Jacobian at the same ``y``."""
+        key = y.tobytes()
+        if key != self._key:
+            self._z = [f.A @ y + f.log_c for f in self.nonlinear]
+            self._key = key
+        return self._z
 
     def values(self, y: np.ndarray) -> np.ndarray:
         """F_i(y) for every constraint (<= 0 means satisfied)."""
         parts = [self.A_lin @ y + self.c_lin]
         if self.nonlinear:
-            parts.append(np.array([_lse_value(f, y) for f in self.nonlinear]))
+            parts.append(np.array([_logsumexp(z) for z in self._exponents(y)]))
         return np.concatenate(parts)
 
     def jacobian(self, y: np.ndarray) -> np.ndarray:
         if not self.nonlinear:
             return self.A_lin
-        rows = [_lse_grad(f, y) for f in self.nonlinear]
+        rows = [_softmax(z) @ f.A
+                for z, f in zip(self._exponents(y), self.nonlinear)]
         return np.vstack([self.A_lin, np.vstack(rows)])
 
 
@@ -159,9 +199,9 @@ def _solve_slsqp(compiled: CompiledProgram, bundle: _ConstraintBundle,
             "jac": lambda y: -bundle.jacobian(y),
         })
     return minimize(
-        lambda y: _lse_value(compiled.objective, y),
+        lambda y: _lse_value_and_grad(compiled.objective, y),
         y0,
-        jac=lambda y: _lse_grad(compiled.objective, y),
+        jac=True,
         method="SLSQP",
         bounds=[(-_Y_BOUND, _Y_BOUND)] * len(y0),
         constraints=constraints,
@@ -177,9 +217,9 @@ def _solve_trust_constr(compiled: CompiledProgram, bundle: _ConstraintBundle,
             fun=bundle.values, lb=-np.inf, ub=0.0, jac=bundle.jacobian,
         ))
     return minimize(
-        lambda y: _lse_value(compiled.objective, y),
+        lambda y: _lse_value_and_grad(compiled.objective, y),
         y0,
-        jac=lambda y: _lse_grad(compiled.objective, y),
+        jac=True,
         method="trust-constr",
         constraints=constraints,
         options={"maxiter": maxiter, "gtol": 1e-9, "xtol": 1e-12},
