@@ -859,34 +859,41 @@ def build_parser() -> argparse.ArgumentParser:
                                   "window; grown automatically to cover "
                                   "--duration where applicable)")
 
+    def _service_flags(command: argparse.ArgumentParser,
+                       journal_help: str) -> None:
+        """The listener, planning and journal knobs of a serving hop."""
+        command.add_argument("--host", default="127.0.0.1")
+        command.add_argument("--port", type=int, default=DEFAULT_SERVICE_PORT)
+        command.add_argument("--mu", type=float, default=5.0,
+                             help="recomputation cost in messages")
+        command.add_argument("--recompute-mode", choices=["full", "delta"],
+                             default="full",
+                             help="how window breaches are re-solved: "
+                                  "'full' (multi-start GP solve) or 'delta' "
+                                  "(warm Newton-KKT patch with full-solve "
+                                  "fallback)")
+        command.add_argument("--bank-index", choices=["flat", "shared"],
+                             default="flat",
+                             help="query-bank layout: 'flat' (per-query "
+                                  "compiled rows) or 'shared' (structure-"
+                                  "deduplicating template index with "
+                                  "incremental QUERY_SUB registration)")
+        command.add_argument("--journal", default=None, metavar="DIR",
+                             help=journal_help)
+        command.add_argument("--snapshot-every", type=int, default=500,
+                             help="compact a snapshot every N journal "
+                                  "records")
+        command.add_argument("--fsync", choices=["always", "interval", "off"],
+                             default="always",
+                             help="journal fsync policy: what a machine "
+                                  "crash (not just a process kill) can lose")
+
     serve = sub.add_parser("serve",
                            help="run the live asyncio coordinator server")
     _scenario_flags(serve)
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=DEFAULT_SERVICE_PORT)
-    serve.add_argument("--mu", type=float, default=5.0,
-                       help="recomputation cost in messages")
-    serve.add_argument("--recompute-mode", choices=["full", "delta"],
-                       default="full",
-                       help="how window breaches are re-solved: 'full' "
-                            "(multi-start GP solve) or 'delta' (warm "
-                            "Newton-KKT patch with full-solve fallback)")
-    serve.add_argument("--bank-index", choices=["flat", "shared"],
-                       default="flat",
-                       help="query-bank layout: 'flat' (per-query compiled "
-                            "rows) or 'shared' (structure-deduplicating "
-                            "template index with incremental QUERY_SUB "
-                            "registration)")
-    serve.add_argument("--journal", default=None, metavar="DIR",
-                       help="journal coordinator state to DIR (write-ahead "
-                            "log + periodic snapshots); on start, restore "
-                            "from the newest snapshot and replay the tail")
-    serve.add_argument("--snapshot-every", type=int, default=500,
-                       help="compact a snapshot every N journal records")
-    serve.add_argument("--fsync", choices=["always", "interval", "off"],
-                       default="always",
-                       help="journal fsync policy: what a machine crash "
-                            "(not just a process kill) can lose")
+    _service_flags(serve, "journal coordinator state to DIR (write-ahead "
+                          "log + periodic snapshots); on start, restore "
+                          "from the newest snapshot and replay the tail")
     serve.set_defaults(func=cmd_serve)
 
     journal = sub.add_parser("journal",
@@ -953,23 +960,8 @@ def build_parser() -> argparse.ArgumentParser:
                                     "partition by stable hash; queries "
                                     "decompose across their home shards "
                                     "under B/k sub-budgets)")
-    cluster_serve.add_argument("--host", default="127.0.0.1")
-    cluster_serve.add_argument("--port", type=int,
-                               default=DEFAULT_SERVICE_PORT)
-    cluster_serve.add_argument("--mu", type=float, default=5.0,
-                               help="recomputation cost in messages")
-    cluster_serve.add_argument("--recompute-mode",
-                               choices=["full", "delta"], default="full")
-    cluster_serve.add_argument("--bank-index", choices=["flat", "shared"],
-                               default="flat")
-    cluster_serve.add_argument("--journal", default=None, metavar="DIR",
-                               help="journal every shard under "
-                                    "DIR/shard-<i> (enables shard "
-                                    "failover)")
-    cluster_serve.add_argument("--snapshot-every", type=int, default=500)
-    cluster_serve.add_argument("--fsync",
-                               choices=["always", "interval", "off"],
-                               default="always")
+    _service_flags(cluster_serve, "journal every shard under DIR/shard-<i> "
+                                  "(enables shard failover)")
     cluster_serve.set_defaults(func=cmd_cluster_serve)
 
     cluster_loadgen = cluster_sub.add_parser(

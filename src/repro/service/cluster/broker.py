@@ -141,19 +141,12 @@ class NotifyBroker(ConnectionPlane):
             pass  # upstream gone for good; close() handles the rest
 
     def _fanout(self, message: Dict[str, Any]) -> None:
-        updates = message.get("updates") or []
         degraded = message.get("degraded")
-        for sub in list(self._subscribers.values()):
-            wanted = [u for u in updates if sub.wants(u["query"])]
-            if not wanted and degraded is None:
-                continue
-            out = protocol.notify(
-                wanted, sent_at=message.get("sent_at"),
-                refresh_sent_at=message.get("refresh_sent_at"),
-                shard=message.get("shard"),
-                degraded={k: v for k, v in degraded.items()
-                          if sub.wants(k)} if degraded is not None else None)
-            self._enqueue(sub, out)
+        self._publish(message.get("updates") or [],
+                      bare=degraded is not None, degraded=degraded,
+                      sent_at=message.get("sent_at"),
+                      refresh_sent_at=message.get("refresh_sent_at"),
+                      shard=message.get("shard"))
 
     # -- downstream ---------------------------------------------------------------
 

@@ -29,8 +29,10 @@ an item.  The router takes the min bound across shards — the only
 window every shard's guarantee survives — and forwards it to the real
 source under its own per-item epoch counter, bumped only on material
 change (the core's 1e-9 relative tolerance).  Toward real sources the
-router runs the server's msg_id/ack retry loop; toward shards it acks
-instantly (loopback is lossless).
+router delivers through the same msg_id/ack retry loop as the server
+(:class:`~repro.service.server.ConnectionPlane`); an update given up on
+marks its items suspect on every shard that reads them.  Toward shards
+it acks instantly (loopback is lossless).
 
 **Partial recombination.**  One wildcard subscription per shard feeds a
 last-partial table ``{query: {shard: value}}``; a shard NOTIFY
@@ -183,9 +185,6 @@ class ClusterCoordinator(ConnectionPlane):
         self.supervisor: Optional[Any] = None
         self.health: Optional[Any] = None
 
-        # reliable DAB delivery toward the real sources
-        self._outstanding_dabs: Dict[int, Dict[str, Any]] = {}
-        self._dab_msg_counter = 0
         #: kept ``None`` on purpose: the *shards* journal; soak tooling
         #: checks this attribute to decide whether the single-node
         #: journal bookkeeping applies.
@@ -386,27 +385,15 @@ class ClusterCoordinator(ConnectionPlane):
         self.stats["shard_reattachments"] += 1
         await self._attach_shard(sid)
         for source_id, items in sorted(self._sources_for_shard(sid).items()):
-            await self._forward_probe(source_id, items)
+            await self._send_probe(source_id, items)
 
     async def _prepare_to_serve(self) -> None:
         await self.start()
 
-    def start_maintenance(self) -> None:
-        if self._maintenance_task is not None:
-            return
+    def _maintenance_interval(self) -> Optional[float]:
         intervals = [srv.lease_check_interval for srv in self.shards.values()
                      if srv.lease_check_interval is not None]
-        if not intervals and self.dab_retry_policy is None:
-            return
-        interval = min(intervals) if intervals else 1.0
-        self._maintenance_task = asyncio.ensure_future(
-            self._maintenance_loop(interval))
-
-    async def _maintenance_loop(self, interval: float) -> None:
-        while True:
-            await asyncio.sleep(interval)
-            await self.check_leases()
-            await self.check_retries()
+        return min(intervals) if intervals else super()._maintenance_interval()
 
     async def close(self, final_snapshot: bool = True) -> None:
         self.closed = True
@@ -455,54 +442,14 @@ class ClusterCoordinator(ConnectionPlane):
         for source_id, (bounds, epochs) in sorted(by_source.items()):
             await self._send_dab_update(source_id, bounds, epochs)
 
-    async def _send_dab_update(self, source_id: int,
-                               bounds: Dict[str, float],
-                               epochs: Dict[str, int],
-                               attempt: int = 0,
-                               msg_id: Optional[int] = None) -> None:
-        """Same reliable-delivery contract as the server's: with a retry
-        policy the update carries a msg_id and sits in the outstanding
-        table until the real source acks it."""
-        policy = self.dab_retry_policy
-        if policy is not None:
-            if msg_id is None:
-                self._dab_msg_counter += 1
-                msg_id = self._dab_msg_counter
-            self._outstanding_dabs[msg_id] = {
-                "source_id": source_id, "bounds": bounds, "epochs": epochs,
-                "attempt": attempt, "due": self.clock() + policy.delay(attempt),
-            }
-        stream = self._source_streams.get(source_id)
-        if stream is None:
-            return
-        if await self._safe_send(stream,
-                                 protocol.dab_update(source_id, bounds,
-                                                     epochs, msg_id=msg_id)):
-            self.stats["dab_updates_sent"] += 1
-
-    async def _on_dab_ack(self, conn: _Connection,
-                          message: Mapping[str, Any]) -> None:
-        self._outstanding_dabs.pop(int(message["msg_id"]), None)
-        self.stats["dab_acks_received"] += 1
-
-    async def check_retries(self) -> None:
-        policy = self.dab_retry_policy
-        if policy is None or not self._outstanding_dabs:
-            return
-        now = self.clock()
-        for msg_id in list(self._outstanding_dabs):
-            entry = self._outstanding_dabs.get(msg_id)
-            if entry is None or entry["due"] > now:
-                continue
-            del self._outstanding_dabs[msg_id]
-            attempt = entry["attempt"] + 1
-            if attempt >= policy.max_attempts:
-                self.stats["dab_retries_exhausted"] += 1
-                continue
-            self.stats["dab_retries"] += 1
-            await self._send_dab_update(entry["source_id"], entry["bounds"],
-                                        entry["epochs"], attempt=attempt,
-                                        msg_id=msg_id)
+    def _on_dab_exhausted(self, items: List[str]) -> None:
+        """The real source may not enforce these bounds: every shard
+        that reads one of ``items`` marks it suspect and serves the
+        queries over it degraded."""
+        self.stats["dab_retries_exhausted"] += 1
+        for item in items:
+            for sid in self._item_shards.get(item, ()):
+                self.shards[sid].mark_suspect([item])
 
     async def check_leases(self) -> None:
         """Drive every shard's lease sweep (their probes flow back to the
@@ -537,7 +484,7 @@ class ClusterCoordinator(ConnectionPlane):
                     await self._push_changed_bounds(changed)
                     probe = message.get("probe")
                     if probe:
-                        await self._forward_probe(source_id, probe)
+                        await self._send_probe(source_id, probe)
                 elif kind is MessageType.ERROR:
                     break
         except (TransportClosed, ProtocolError):
@@ -546,15 +493,6 @@ class ClusterCoordinator(ConnectionPlane):
             raise
         finally:
             stream.close()
-
-    async def _forward_probe(self, source_id: int,
-                             items: Sequence[str]) -> None:
-        stream = self._source_streams.get(source_id)
-        if stream is None:
-            return
-        message = protocol.dab_update(source_id, {}, {}, probe=items)
-        if await self._safe_send(stream, message):
-            self.stats["probes_forwarded"] += 1
 
     async def _shard_sub_listener(self, sid: int,
                                   stream: MessageStream) -> None:
@@ -717,16 +655,11 @@ class ClusterCoordinator(ConnectionPlane):
         keys = frozenset(merged)
         include_degraded = bool(merged) or keys != self._last_degraded_keys
         self._last_degraded_keys = keys
-        for sub in list(self._subscribers.values()):
-            updates = [{"query": name, "value": value}
-                       for name, value in recombined if sub.wants(name)]
-            if not updates and not include_degraded:
-                continue
-            message = protocol.notify(
-                updates, sent_at=now, refresh_sent_at=refresh_sent_at,
-                degraded={name: bound for name, bound in merged.items()
-                          if sub.wants(name)} if include_degraded else None)
-            self._enqueue(sub, message)
+        self._publish([{"query": name, "value": value}
+                       for name, value in recombined],
+                      bare=include_degraded,
+                      degraded=merged if include_degraded else None,
+                      sent_at=now, refresh_sent_at=refresh_sent_at)
 
     async def _gather_snapshot(self) -> Tuple[Dict[str, float],
                                               Dict[str, float],
@@ -792,25 +725,16 @@ class ClusterCoordinator(ConnectionPlane):
 
     # -- downstream connection handling -------------------------------------------
 
-    async def _on_register_source(self, conn: _Connection,
-                                  message: Dict[str, Any]) -> None:
-        source_id = int(message["source_id"])
-        self._adopt_source(conn, source_id)
-        if self._outstanding_dabs:
-            for msg_id in [m for m, entry in self._outstanding_dabs.items()
-                           if entry["source_id"] == source_id]:
-                del self._outstanding_dabs[msg_id]
-        items = [name for name in message["items"]
+    def _source_registration(self, source_id: int, items: List[str]
+                             ) -> Tuple[Dict[str, float], Dict[str, int],
+                                        Dict[str, int]]:
+        items = [name for name in items
                  if self.item_to_source.get(name) == source_id]
         bounds = {name: self._effective_bounds[name] for name in items
                   if name in self._effective_bounds}
         epochs = {name: self.epochs[name] for name in bounds}
-        seqs = {name: self._seq_floors[name] for name in items
-                if name in self._seq_floors}
-        if await self._safe_send(conn.stream,
-                                 protocol.dab_update(source_id, bounds, epochs,
-                                                     seqs=seqs or None)):
-            self.stats["dab_updates_sent"] += 1
+        return bounds, epochs, {name: self._seq_floors[name] for name in items
+                                if name in self._seq_floors}
 
     async def _on_refresh(self, conn: Optional[_Connection],
                           message: Dict[str, Any]) -> None:
@@ -1029,7 +953,6 @@ def build_scenario_cluster(
     algorithm: str = "dual_dab",
     recompute_cost: float = 5.0,
     workload: str = "portfolio",
-    vectorize: bool = True,
     notify_queue_limit: int = DEFAULT_NOTIFY_QUEUE_LIMIT,
     recompute_mode: str = "full",
     bank_index: str = "flat",
@@ -1063,27 +986,18 @@ def build_scenario_cluster(
 
     parts = _scenario_parts(
         query_count, item_count, source_count, trace_length, seed, algorithm,
-        recompute_cost, workload, vectorize, recompute_mode, bank_index)
+        recompute_cost, workload, recompute_mode, bank_index)
     config = parts.config
-    items = config.used_items
-    item_to_source = parts.item_to_source
-
     shard_map = ShardMap(shards)
     decomposition = decompose_bank(config.queries, shard_map.shard_of)
-    initial_values = config.traces.initial_values(items)
 
     def make_shard(sid: int) -> CoordinatorServer:
-        sub_queries = decomposition.sub_queries_for[sid]
-        needed = decomposition.items_needed[sid]
         journal = (Journal(os.path.join(journal_dir, f"shard-{sid}"),
                            fsync=fsync, snapshot_every=snapshot_every)
                    if journal_dir is not None else None)
-        return CoordinatorServer(
-            queries=sub_queries, planner=parts.make_planner(),
-            initial_values={name: initial_values[name] for name in needed},
-            item_to_source={name: item_to_source[name] for name in needed},
-            mode=parts.mode,
-            vectorize=vectorize, recompute_cost=recompute_cost,
+        return parts.make_server(
+            decomposition.sub_queries_for[sid],
+            decomposition.items_needed[sid],
             # The shard's only subscriber is the router's aggregation
             # trunk; evicting it under a notify storm severs the shard
             # from the cluster, so the trunk queue is sized generously
@@ -1091,8 +1005,6 @@ def build_scenario_cluster(
             # subscriber queues, which keep ``notify_queue_limit``).
             notify_queue_limit=max(SHARD_TRUNK_QUEUE_LIMIT,
                                    notify_queue_limit),
-            recompute_strategy=recompute_mode,
-            bank_index=bank_index,
             shard_id=sid,
             clock=clock,
             lease_duration=lease_duration,
@@ -1112,10 +1024,10 @@ def build_scenario_cluster(
 
     cluster = ClusterCoordinator(
         shards=shard_servers, decomposition=decomposition,
-        shard_map=shard_map, item_to_source=item_to_source,
+        shard_map=shard_map, item_to_source=parts.item_to_source,
         queries=config.queries, clock=clock,
         notify_queue_limit=notify_queue_limit,
         dab_retry_policy=dab_retry_policy,
         make_shard=make_shard,
     )
-    return cluster, parts.scenario, item_to_source
+    return cluster, parts.scenario, parts.item_to_source

@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import asyncio
 import time as _time
-from typing import (Any, Callable, Dict, List, Mapping, NamedTuple, Optional,
-                    Sequence, Set, Tuple)
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, NamedTuple,
+                    Optional, Sequence, Set, Tuple)
 
 from repro.exceptions import ReproError, SimulationError
 from repro.queries.polynomial import PolynomialQuery
@@ -92,12 +92,24 @@ class ConnectionPlane:
     all serve peers the same way: validate each frame, dispatch it
     through :attr:`HANDLERS`, answer anything malformed with an ERROR
     frame and hang up, and fan NOTIFY frames out through one bounded
-    queue per subscriber whose overflow evicts the slow consumer.  A hop
-    supplies only its handler table, :meth:`_subscription` (what a
-    QUERY_SUB asks for) and :meth:`_snapshot_response` (its SNAPSHOT
-    payload); its ``stats`` dict must carry ``notifies_sent``,
-    ``slow_consumer_evictions``, ``protocol_errors`` and ``subscribers``
-    (and ``sources_registered`` when it serves sources).
+    queue per subscriber whose overflow evicts the slow consumer; every
+    NOTIFY goes out through :meth:`_publish`.  A hop supplies only its
+    handler table, :meth:`_subscription` (what a QUERY_SUB asks for) and
+    :meth:`_snapshot_response` (its SNAPSHOT payload); its ``stats`` dict
+    must carry ``notifies_sent``, ``slow_consumer_evictions``,
+    ``protocol_errors`` and ``subscribers``.
+
+    Toward sources the base owns delivery as well: the registration
+    reply, reliable DAB_UPDATE delivery (``msg_id``, the outstanding
+    table, DAB_ACK, :meth:`check_retries`), value probes, and the upkeep
+    task that runs :meth:`check_leases` then :meth:`check_retries`.  A
+    hop that serves sources sets ``clock`` and ``dab_retry_policy`` and
+    supplies :meth:`_source_registration` (the bounds, epochs and seq
+    floors a registration reply programs) and :meth:`_on_dab_exhausted`
+    (what a delivery given up on degrades); its ``stats`` also carry
+    ``sources_registered``, ``dab_updates_sent`` and
+    ``dab_acks_received``, plus ``dab_retries`` and ``probes_forwarded``
+    unless it overrides :meth:`_count_dab_retry` and :meth:`_count_probe`.
     """
 
     #: message kind -> name of the ``async (conn, message)`` handler; a
@@ -123,6 +135,13 @@ class ConnectionPlane:
         self._handler_tasks: Set[asyncio.Task] = set()
         self._tcp_server: Optional[asyncio.AbstractServer] = None
         self._maintenance_task: Optional[asyncio.Task] = None
+        #: ``None`` disables reliable DAB delivery (the default); with a
+        #: policy, every changed-bound DAB_UPDATE carries a ``msg_id``
+        #: and is retried with backoff until acked or given up on.
+        self.dab_retry_policy: Optional[RetryPolicy] = None
+        #: msg_id -> the unacked DAB_UPDATE and when it is next due.
+        self._outstanding_dabs: Dict[int, Dict[str, Any]] = {}
+        self._dab_msg_counter = 0
         #: ``(host, port)`` once :meth:`serve_tcp` binds; ``None`` for
         #: loopback-only embeddings.
         self.listen_address: Optional[Tuple[str, int]] = None
@@ -155,7 +174,33 @@ class ConnectionPlane:
         """Run by :meth:`serve_tcp` before it binds."""
 
     def start_maintenance(self) -> None:
-        """Start background upkeep; run by :meth:`serve_tcp`."""
+        """Run :meth:`check_leases` then :meth:`check_retries` on a
+        background task, every :meth:`_maintenance_interval` seconds.
+
+        Started automatically by :meth:`serve_tcp`; loopback embeddings
+        (tests, the chaos soak) drive the two checks explicitly instead,
+        so their event order stays deterministic.  A no-op for a hop
+        with no upkeep.
+        """
+        if self._maintenance_task is not None:
+            return
+        interval = self._maintenance_interval()
+        if interval is not None:
+            self._maintenance_task = asyncio.ensure_future(
+                self._maintenance_loop(interval))
+
+    def _maintenance_interval(self) -> Optional[float]:
+        """Seconds between upkeep sweeps; ``None`` means no upkeep."""
+        return 1.0 if self.dab_retry_policy is not None else None
+
+    async def _maintenance_loop(self, interval: float) -> None:
+        while True:
+            await asyncio.sleep(interval)
+            await self.check_leases()
+            await self.check_retries()
+
+    async def check_leases(self) -> None:
+        """Expire stale leases; a hop without leases has nothing to do."""
 
     def adopt_connection(self, server_end: MessageStream) -> None:
         """Serve an externally-built stream (a chaos-wrapped loopback
@@ -258,15 +303,132 @@ class ConnectionPlane:
         except (TransportClosed, ProtocolError):
             return False
 
-    def _adopt_source(self, conn: _Connection, source_id: int) -> None:
-        """Make ``conn`` the live stream of ``source_id`` (closing the one
-        it replaces)."""
+    # -- source plane ---------------------------------------------------------------
+
+    def _source_registration(self, source_id: int, items: List[str]
+                             ) -> Tuple[Dict[str, float], Dict[str, int],
+                                        Dict[str, int]]:
+        """``(bounds, epochs, seq floors)`` the registration reply of
+        ``source_id`` (which announced ``items``) programs."""
+        raise NotImplementedError
+
+    def _on_dab_exhausted(self, items: List[str]) -> None:
+        """Count one DAB_UPDATE given up on, and degrade what its
+        ``items`` feed: the source may not enforce those bounds."""
+        raise NotImplementedError
+
+    def _count_dab_retry(self) -> None:
+        self.stats["dab_retries"] += 1
+
+    def _count_probe(self, items: Sequence[str]) -> None:
+        self.stats["probes_forwarded"] += 1
+
+    async def _on_register_source(self, conn: _Connection,
+                                  message: Dict[str, Any]) -> None:
+        """Adopt (or re-adopt) a source; programming its current DABs in
+        the reply doubles as crash/reconnect resync.
+
+        The reply also carries the accepted-seq high-water marks: a
+        *restarted* source process numbers from 0 again, and without
+        them every one of its refreshes would be rejected as a stale
+        duplicate until it climbed past the old incarnation's numbering
+        (resetting the dedup guard instead would let an in-flight stale
+        refresh from the dead connection clobber the cache)."""
+        source_id = int(message["source_id"])
         previous = self._source_streams.get(source_id)
         if previous is not None and previous is not conn.stream:
             previous.close()
         self._source_streams[source_id] = conn.stream
         conn.source_id = source_id
         self.stats["sources_registered"] += 1
+        # The reply re-programs every current bound, superseding whatever
+        # changed-bound deliveries were still being retried to this source.
+        if self._outstanding_dabs:
+            for msg_id in [m for m, entry in self._outstanding_dabs.items()
+                           if entry["source_id"] == source_id]:
+                del self._outstanding_dabs[msg_id]
+        bounds, epochs, seqs = self._source_registration(source_id,
+                                                         message["items"])
+        if await self._safe_send(conn.stream,
+                                 protocol.dab_update(source_id, bounds, epochs,
+                                                     seqs=seqs or None)):
+            self.stats["dab_updates_sent"] += 1
+
+    async def _send_dab_update(self, source_id: int,
+                               bounds: Dict[str, float],
+                               epochs: Dict[str, int],
+                               attempt: int = 0,
+                               msg_id: Optional[int] = None) -> None:
+        """Ship one changed-bound DAB_UPDATE, reliably when configured.
+
+        With a retry policy, the message carries a ``msg_id`` and sits in
+        the outstanding table until the source's DAB_ACK lands —
+        :meth:`check_retries` resends it with backoff otherwise.  A
+        dropped *narrowing* update is the one loss the seq/lease
+        machinery cannot see (the source keeps filtering against a
+        stale, wider bound), so delivery has to be acknowledged.
+        """
+        policy = self.dab_retry_policy
+        if policy is not None:
+            if msg_id is None:
+                self._dab_msg_counter += 1
+                msg_id = self._dab_msg_counter
+            self._outstanding_dabs[msg_id] = {
+                "source_id": source_id, "bounds": bounds, "epochs": epochs,
+                "attempt": attempt, "due": self.clock() + policy.delay(attempt),
+            }
+        stream = self._source_streams.get(source_id)
+        if stream is None:
+            # Disconnected source: its bounds are re-programmed wholesale
+            # when it re-registers (the resync path); with a retry policy
+            # the outstanding entry keeps nagging until then.
+            return
+        if await self._safe_send(stream,
+                                 protocol.dab_update(source_id, bounds,
+                                                     epochs, msg_id=msg_id)):
+            self.stats["dab_updates_sent"] += 1
+
+    async def _on_dab_ack(self, conn: _Connection,
+                          message: Dict[str, Any]) -> None:
+        self._outstanding_dabs.pop(int(message["msg_id"]), None)
+        self.stats["dab_acks_received"] += 1
+
+    async def check_retries(self) -> None:
+        """Resend overdue unacked DAB_UPDATEs; give up into degradation.
+
+        Exhausting the retry budget hands the update's items to
+        :meth:`_on_dab_exhausted` — the hop can no longer claim the
+        source enforces the bounds it was sent, so served answers widen
+        honestly instead of silently trusting a filter that may not
+        exist.
+        """
+        policy = self.dab_retry_policy
+        if policy is None or not self._outstanding_dabs:
+            return
+        now = self.clock()
+        for msg_id in list(self._outstanding_dabs):
+            entry = self._outstanding_dabs.get(msg_id)
+            if entry is None or entry["due"] > now:
+                continue
+            del self._outstanding_dabs[msg_id]
+            attempt = entry["attempt"] + 1
+            if attempt >= policy.max_attempts:
+                self._on_dab_exhausted(list(entry["bounds"]))
+                continue
+            self._count_dab_retry()
+            await self._send_dab_update(entry["source_id"], entry["bounds"],
+                                        entry["epochs"], attempt=attempt,
+                                        msg_id=msg_id)
+
+    async def _send_probe(self, source_id: int, items: Sequence[str]) -> None:
+        """Ask a source to resend the listed items' current values now
+        (an empty-bounds DAB_UPDATE carrying only ``probe``)."""
+        stream = self._source_streams.get(source_id)
+        if stream is None:
+            return
+        message = protocol.dab_update(source_id, {}, {}, probe=items)
+        if await self._safe_send(stream, message):
+            self._count_probe(items)
 
     # -- subscriber plane -----------------------------------------------------------
 
@@ -312,6 +474,34 @@ class ConnectionPlane:
             await self._drop_subscriber(previous, close_stream=False)
         sub.writer_task = asyncio.ensure_future(self._subscriber_writer(sub))
         await self._send_snapshot(conn.stream, sub)
+
+    def _publish(self, updates: List[Dict[str, Any]], bare: bool,
+                 degraded: Optional[Mapping[str, float]] = None,
+                 sent_at: Optional[float] = None,
+                 refresh_sent_at: Optional[float] = None,
+                 shard: Optional[int] = None,
+                 map_epoch: Optional[int] = None) -> None:
+        """One NOTIFY per subscriber, through its bounded queue.
+
+        Each subscriber gets the wire ``updates`` (``{"query",
+        "value"}``) it wants and, unless ``degraded`` is ``None``, the
+        part of that map it wants.  One left with no updates is skipped
+        unless ``bare`` asks for update-less frames."""
+        for sub in list(self._subscribers.values()):
+            names = sub.queries
+            if names is None:
+                wanted, wanted_degraded = updates, degraded
+            else:
+                wanted = [update for update in updates
+                          if update["query"] in names]
+                wanted_degraded = None if degraded is None else {
+                    name: bound for name, bound in degraded.items()
+                    if name in names}
+            if wanted or bare:
+                self._enqueue(sub, protocol.notify(
+                    wanted, sent_at=sent_at, refresh_sent_at=refresh_sent_at,
+                    degraded=wanted_degraded, shard=shard,
+                    map_epoch=map_epoch))
 
     def _enqueue(self, sub: _Subscriber, message: Dict[str, Any]) -> None:
         """Queue one NOTIFY for ``sub``; a full queue evicts it."""
@@ -390,7 +580,6 @@ class CoordinatorServer(ConnectionPlane):
         mode: RecomputeMode = RecomputeMode.ON_WINDOW_VIOLATION,
         aao_planner: Optional[object] = None,
         aao_period: Optional[int] = None,
-        vectorize: bool = True,
         recompute_cost: float = 1.0,
         metrics: Optional[MetricsCollector] = None,
         notify_queue_limit: int = DEFAULT_NOTIFY_QUEUE_LIMIT,
@@ -414,7 +603,7 @@ class CoordinatorServer(ConnectionPlane):
             queries=queries, planner=planner, mode=mode, metrics=self.metrics,
             initial_values=initial_values, item_to_source=item_to_source,
             aao_planner=aao_planner, aao_period=aao_period,
-            vectorize=vectorize, solver_breaker=solver_breaker,
+            vectorize=True, solver_breaker=solver_breaker,
             recompute_strategy=recompute_strategy,
             bank_index=bank_index,
         )
@@ -462,12 +651,7 @@ class CoordinatorServer(ConnectionPlane):
         self.suspect_since: Dict[str, float] = {}
         self._item_last_heard: Dict[str, float] = {}
         self._degraded_keys: frozenset = frozenset()
-        #: ``None`` disables reliable DAB delivery (default); with a
-        #: policy, every changed-bound DAB_UPDATE carries a ``msg_id``
-        #: and is retried with backoff until acked or given up on.
         self.dab_retry_policy = dab_retry_policy
-        self._outstanding_dabs: Dict[int, Dict[str, Any]] = {}
-        self._dab_msg_counter = 0
         self.solver_breaker = solver_breaker
 
         #: item -> highest refresh sequence number accepted (dedup guard).
@@ -503,26 +687,8 @@ class CoordinatorServer(ConnectionPlane):
 
     # -- lifecycle ---------------------------------------------------------------
 
-    def start_maintenance(self) -> None:
-        """Run lease checks and DAB retries on a background task.
-
-        Started automatically by :meth:`serve_tcp`; loopback embeddings
-        (tests, the chaos soak) drive :meth:`check_leases` /
-        :meth:`check_retries` explicitly instead, so their event order
-        stays deterministic.  A no-op when neither machinery is enabled.
-        """
-        if self._maintenance_task is not None:
-            return
-        if self.lease_check_interval is None and self.dab_retry_policy is None:
-            return
-        self._maintenance_task = asyncio.ensure_future(self._maintenance_loop())
-
-    async def _maintenance_loop(self) -> None:
-        interval = self.lease_check_interval or 1.0
-        while True:
-            await asyncio.sleep(interval)
-            await self.check_leases()
-            await self.check_retries()
+    def _maintenance_interval(self) -> Optional[float]:
+        return self.lease_check_interval or super()._maintenance_interval()
 
     async def close(self, final_snapshot: bool = True) -> None:
         """Shut down.  ``final_snapshot=False`` models a hard kill: the
@@ -731,37 +897,18 @@ class CoordinatorServer(ConnectionPlane):
 
     # -- source-plane handlers ------------------------------------------------------
 
-    async def _on_register_source(self, conn: _Connection,
-                                  message: Dict[str, Any]) -> None:
-        """Adopt (or re-adopt) a source; programming its current DABs in
-        the reply doubles as crash/reconnect resync."""
-        source_id = int(message["source_id"])
+    def _source_registration(self, source_id: int, items: List[str]
+                             ) -> Tuple[Dict[str, float], Dict[str, int],
+                                        Dict[str, int]]:
         known = {name for name, owner in self.core.item_to_source.items()
                  if owner == source_id}
-        unknown = [name for name in message["items"] if name not in known]
+        unknown = [name for name in items if name not in known]
         if unknown:
             self.metrics.record_misrouted_bounds(len(unknown))
-        self._adopt_source(conn, source_id)
         self.last_heard[source_id] = self.clock()
-        # The reply re-programs every current bound, superseding whatever
-        # changed-bound deliveries were still being retried to this source.
-        if self._outstanding_dabs:
-            for msg_id in [m for m, entry in self._outstanding_dabs.items()
-                           if entry["source_id"] == source_id]:
-                del self._outstanding_dabs[msg_id]
         bounds, epochs = self.core.current_bounds_for(source_id)
-        # The reply also carries our accepted-seq high-water marks: a
-        # *restarted* source process numbers from 0 again, and without
-        # this exchange every one of its refreshes would be rejected as a
-        # stale duplicate until it climbed past the old incarnation's
-        # numbering (resetting last_seq instead would let an in-flight
-        # stale refresh from the dead connection clobber the cache).
-        seqs = {name: self.last_seq[name] for name in known
-                if name in self.last_seq}
-        if await self._safe_send(conn.stream,
-                                 protocol.dab_update(source_id, bounds, epochs,
-                                                     seqs=seqs or None)):
-            self.stats["dab_updates_sent"] += 1
+        return bounds, epochs, {name: self.last_seq[name] for name in known
+                                if name in self.last_seq}
 
     async def _on_refresh(self, conn: Optional[_Connection],
                           message: Dict[str, Any]) -> None:
@@ -812,75 +959,26 @@ class CoordinatorServer(ConnectionPlane):
         for source_id, (bounds, epochs) in self.core.changed_bound_updates().items():
             await self._send_dab_update(source_id, bounds, epochs)
 
-    async def _send_dab_update(self, source_id: int,
-                               bounds: Dict[str, float],
-                               epochs: Dict[str, int],
-                               attempt: int = 0,
-                               msg_id: Optional[int] = None) -> None:
-        """Ship one changed-bound DAB_UPDATE, reliably when configured.
+    def _on_dab_exhausted(self, items: List[str]) -> None:
+        self.metrics.record_dab_retry_exhausted()
+        self.mark_suspect(items)
 
-        With a retry policy, the message carries a ``msg_id`` and sits in
-        the outstanding table until the source's DAB_ACK lands —
-        :meth:`check_retries` resends it with backoff otherwise.  A
-        dropped *narrowing* update is the one loss the seq/lease
-        machinery cannot see (the source keeps filtering against a
-        stale, wider bound), so delivery has to be acknowledged.
-        """
-        policy = self.dab_retry_policy
-        if policy is not None:
-            if msg_id is None:
-                self._dab_msg_counter += 1
-                msg_id = self._dab_msg_counter
-            self._outstanding_dabs[msg_id] = {
-                "source_id": source_id, "bounds": bounds, "epochs": epochs,
-                "attempt": attempt, "due": self.clock() + policy.delay(attempt),
-            }
-        stream = self._source_streams.get(source_id)
-        if stream is None:
-            # Disconnected source: the bounds stay in the core's
-            # last-sent state and are re-programmed wholesale when the
-            # source re-registers (the resync path); with a retry policy
-            # the outstanding entry keeps nagging until then.
-            return
-        if await self._safe_send(stream,
-                                 protocol.dab_update(source_id, bounds,
-                                                     epochs, msg_id=msg_id)):
-            self.stats["dab_updates_sent"] += 1
+    def _count_dab_retry(self) -> None:
+        self.metrics.record_dab_retry()
 
-    async def _on_dab_ack(self, conn: _Connection,
-                          message: Dict[str, Any]) -> None:
-        self._outstanding_dabs.pop(int(message["msg_id"]), None)
-        self.stats["dab_acks_received"] += 1
+    def _count_probe(self, items: Sequence[str]) -> None:
+        self.metrics.record_value_probe(len(items))
 
-    async def check_retries(self) -> None:
-        """Resend overdue unacked DAB_UPDATEs; give up into degradation.
-
-        Exhausting the retry budget marks the affected items suspect —
-        the coordinator can no longer claim the source enforces the
-        bounds it was sent, so served answers widen honestly instead of
-        silently trusting a filter that may not exist.
-        """
-        policy = self.dab_retry_policy
-        if policy is None or not self._outstanding_dabs:
+    def mark_suspect(self, items: Iterable[str]) -> None:
+        """Flag ``items`` suspect — their sources may not enforce the
+        bounds they were sent — and push the degraded map if that
+        changed it.  A no-op without leases."""
+        if self.lease_duration is None:
             return
         now = self.clock()
-        for msg_id in list(self._outstanding_dabs):
-            entry = self._outstanding_dabs.get(msg_id)
-            if entry is None or entry["due"] > now:
-                continue
-            del self._outstanding_dabs[msg_id]
-            attempt = entry["attempt"] + 1
-            if attempt >= policy.max_attempts:
-                self.metrics.record_dab_retry_exhausted()
-                if self.lease_duration is not None:
-                    for name in entry["bounds"]:
-                        self.suspect_since.setdefault(name, now)
-                    self._fanout_degraded_if_changed()
-                continue
-            self.metrics.record_dab_retry()
-            await self._send_dab_update(entry["source_id"], entry["bounds"],
-                                        entry["epochs"], attempt=attempt,
-                                        msg_id=msg_id)
+        for name in items:
+            self.suspect_since.setdefault(name, now)
+        self._fanout_degraded_if_changed()
 
     # -- staleness leases -----------------------------------------------------------
 
@@ -959,16 +1057,6 @@ class CoordinatorServer(ConnectionPlane):
             await self._send_probe(source_id, items)
         self._fanout_degraded_if_changed()
 
-    async def _send_probe(self, source_id: int, items: List[str]) -> None:
-        """Ask a source to resend the listed items' current values now
-        (an empty-bounds DAB_UPDATE carrying only ``probe``)."""
-        stream = self._source_streams.get(source_id)
-        if stream is None:
-            return
-        message = protocol.dab_update(source_id, {}, {}, probe=items)
-        if await self._safe_send(stream, message):
-            self.metrics.record_value_probe(len(items))
-
     async def _send_resync(self, source_id: int, items: List[str],
                            bounds: Dict[str, float],
                            epochs: Dict[str, int]) -> None:
@@ -986,7 +1074,7 @@ class CoordinatorServer(ConnectionPlane):
                   if name in self.last_seq},
             probe=items)
         if await self._safe_send(stream, message):
-            self.metrics.record_value_probe(len(items))
+            self._count_probe(items)
 
     def degraded_bounds(self) -> Dict[str, float]:
         """``{query name: honestly-widened bound}`` for every query with
@@ -1027,14 +1115,9 @@ class CoordinatorServer(ConnectionPlane):
         if keys == self._degraded_keys:
             return
         self._degraded_keys = keys
-        degraded = self.degraded_bounds()
-        for sub in list(self._subscribers.values()):
-            message = protocol.notify(
-                [], sent_at=self.clock(), shard=self.shard_id,
-                map_epoch=self.map_epoch,
-                degraded={name: bound for name, bound in degraded.items()
-                          if sub.wants(name)})
-            self._enqueue(sub, message)
+        self._publish([], bare=True, degraded=self.degraded_bounds(),
+                      sent_at=self.clock(), shard=self.shard_id,
+                      map_epoch=self.map_epoch)
 
     # -- subscriber plane -----------------------------------------------------------
 
@@ -1137,24 +1220,17 @@ class CoordinatorServer(ConnectionPlane):
 
     def _fanout_notifications(self, notifications: List[Tuple[str, float]],
                               refresh_sent_at: Optional[float]) -> None:
-        """One batched NOTIFY per interested subscriber, through its
-        bounded queue; a full queue evicts the slow consumer."""
+        """One batched NOTIFY per subscriber that wants any of the
+        ``notifications``."""
         now = self.clock()
         degraded = (self.degraded_bounds()
                     if self.lease_duration is not None and self.suspect_since
                     else None)
-        for sub in list(self._subscribers.values()):
-            updates = [{"query": name, "value": value}
-                       for name, value in notifications if sub.wants(name)]
-            if not updates:
-                continue
-            message = protocol.notify(
-                updates, sent_at=now, refresh_sent_at=refresh_sent_at,
-                shard=self.shard_id, map_epoch=self.map_epoch,
-                degraded=None if degraded is None else
-                {name: bound for name, bound in degraded.items()
-                 if sub.wants(name)})
-            self._enqueue(sub, message)
+        self._publish([{"query": name, "value": value}
+                       for name, value in notifications],
+                      bare=False, degraded=degraded, sent_at=now,
+                      refresh_sent_at=refresh_sent_at, shard=self.shard_id,
+                      map_epoch=self.map_epoch)
 
     # -- introspection ---------------------------------------------------------------
 
@@ -1219,10 +1295,28 @@ class _ScenarioParts(NamedTuple):
     make_planner: Callable[[], object]
     item_to_source: Dict[str, int]
 
+    def make_server(self, queries: Sequence[PolynomialQuery],
+                    items: Sequence[str],
+                    **server_kwargs: Any) -> CoordinatorServer:
+        """A coordinator over ``queries`` reading ``items`` (the whole
+        scenario, or one shard's routing subset), with a fresh planner
+        stack and the scenario's initial values, recompute mode, μ,
+        recompute strategy and bank index."""
+        config = self.config
+        values = config.traces.initial_values(config.used_items)
+        return CoordinatorServer(
+            queries=queries, planner=self.make_planner(),
+            initial_values={name: values[name] for name in items},
+            item_to_source={name: self.item_to_source[name]
+                            for name in items},
+            mode=self.mode, recompute_cost=config.recompute_cost,
+            recompute_strategy=config.recompute_mode,
+            bank_index=config.bank_index, **server_kwargs)
+
 
 def _scenario_parts(query_count: int, item_count: int, source_count: int,
                     trace_length: int, seed: int, algorithm: str,
-                    recompute_cost: float, workload: str, vectorize: bool,
+                    recompute_cost: float, workload: str,
                     recompute_mode: str, bank_index: str) -> _ScenarioParts:
     """The scenario pipeline every live deployment is built from: the
     simulator's workload generator, rate estimation and planner stack."""
@@ -1249,7 +1343,7 @@ def _scenario_parts(query_count: int, item_count: int, source_count: int,
     config = SimulationConfig(
         queries=scenario.queries, traces=scenario.traces,
         algorithm=algorithm, recompute_cost=recompute_cost,
-        source_count=source_count, seed=seed, vectorize=vectorize,
+        source_count=source_count, seed=seed,
         recompute_mode=recompute_mode, bank_index=bank_index,
     )
     if config.algorithm is AlgorithmName.AAO_T:
@@ -1281,7 +1375,6 @@ def build_scenario_server(
     algorithm: str = "dual_dab",
     recompute_cost: float = 5.0,
     workload: str = "portfolio",
-    vectorize: bool = True,
     notify_queue_limit: int = DEFAULT_NOTIFY_QUEUE_LIMIT,
     recompute_mode: str = "full",
     bank_index: str = "flat",
@@ -1302,17 +1395,8 @@ def build_scenario_server(
     """
     parts = _scenario_parts(
         query_count, item_count, source_count, trace_length, seed, algorithm,
-        recompute_cost, workload, vectorize, recompute_mode, bank_index)
-    config = parts.config
-    server = CoordinatorServer(
-        queries=config.queries, planner=parts.make_planner(),
-        initial_values=config.traces.initial_values(config.used_items),
-        item_to_source=parts.item_to_source,
-        mode=parts.mode,
-        vectorize=vectorize, recompute_cost=recompute_cost,
-        notify_queue_limit=notify_queue_limit,
-        recompute_strategy=recompute_mode,
-        bank_index=bank_index,
-        **server_kwargs,
-    )
+        recompute_cost, workload, recompute_mode, bank_index)
+    server = parts.make_server(parts.config.queries, parts.config.used_items,
+                               notify_queue_limit=notify_queue_limit,
+                               **server_kwargs)
     return server, parts.scenario, parts.item_to_source

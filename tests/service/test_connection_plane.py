@@ -1,5 +1,6 @@
 """The shared connection plane: subscription replacement, dynamic-query
-release by identity, and protocol policing at every hop."""
+release by identity, protocol policing at every hop, and the source
+plane (reliable DAB delivery and upkeep) the server and router share."""
 
 import asyncio
 
@@ -10,6 +11,7 @@ from repro.service.client import ServiceClient
 from repro.service.cluster.broker import NotifyBroker
 from repro.service.cluster.router import build_scenario_cluster
 from repro.service.protocol import PROTOCOL_VERSION, MessageType
+from repro.service.resilience import RetryPolicy
 from repro.service.server import build_scenario_server
 
 
@@ -208,5 +210,131 @@ class TestClosedHopsRefuseConnections:
             assert await stream.receive() is None       # hung up at once
             assert not cluster._handler_tasks
             assert cluster._subscribers == {}
+
+        run(body())
+
+
+class StepClock:
+    def __init__(self, now=0.0):
+        self.now = now
+
+    def __call__(self):
+        return self.now
+
+
+def _hop(kind, **kwargs):
+    """A single server or a 2-shard router over the same scenario."""
+    if kind == "server":
+        return build_scenario_server(**SCENARIO, **kwargs)
+    return build_scenario_cluster(shards=2, **SCENARIO, **kwargs)
+
+
+async def _register(hop, item_to_source, source_id):
+    if hasattr(hop, "start"):
+        await hop.start()
+    stream = hop.connect_loopback()
+    await stream.send(protocol.register_source(
+        source_id, sorted(n for n, s in item_to_source.items()
+                          if s == source_id)))
+    assert (await stream.receive())["type"] == MessageType.DAB_UPDATE.value
+    return stream
+
+
+async def _next_delivery(stream):
+    """The next DAB_UPDATE carrying a ``msg_id`` (probes are skipped)."""
+    async def skim():
+        while True:
+            message = await stream.receive()
+            if message.get("msg_id") is not None:
+                return message
+
+    return await asyncio.wait_for(skim(), 2.0)
+
+
+@pytest.mark.parametrize("kind", ["server", "router"])
+class TestSourcePlane:
+    """Reliable DAB delivery and upkeep, owned once by the base plane."""
+
+    POLICY = RetryPolicy(base_delay=2.0, backoff=1.0, max_delay=2.0,
+                         max_attempts=5)
+
+    def test_unacked_update_is_resent_then_cleared_by_its_ack(self, kind):
+        clock = StepClock()
+        hop, _, item_to_source = _hop(kind, clock=clock,
+                                      dab_retry_policy=self.POLICY)
+
+        async def body():
+            stream = await _register(hop, item_to_source, 0)
+            hop._outstanding_dabs.clear()       # only the update below
+            await hop._send_dab_update(0, {"x": 1.5}, {"x": 99})
+            first = await _next_delivery(stream)
+            assert first["bounds"] == {"x": 1.5}
+            clock.now = 3.0                     # overdue, never acked
+            await hop.check_retries()
+            again = await _next_delivery(stream)
+            assert again["msg_id"] == first["msg_id"]
+            assert again["bounds"] == first["bounds"]
+            assert list(hop._outstanding_dabs) == [first["msg_id"]]
+            await stream.send(protocol.dab_ack(0, first["msg_id"]))
+            await _drain()
+            assert hop._outstanding_dabs == {}
+            assert hop.stats["dab_acks_received"] == 1
+            stream.close()
+            await hop.close()
+
+        run(body())
+
+    def test_re_registration_purges_only_that_sources_entries(self, kind):
+        hop, _, item_to_source = _hop(kind, clock=StepClock(),
+                                      dab_retry_policy=self.POLICY)
+
+        async def body():
+            stream = await _register(hop, item_to_source, 0)
+            hop._outstanding_dabs.clear()
+            await hop._send_dab_update(0, {"x": 1.5}, {"x": 1})
+            await hop._send_dab_update(1, {"y": 2.5}, {"y": 1})
+            assert len(hop._outstanding_dabs) == 2
+            again = await _register(hop, item_to_source, 0)
+            assert [entry["source_id"]
+                    for entry in hop._outstanding_dabs.values()] == [1]
+            stream.close()
+            again.close()
+            await hop.close()
+
+        run(body())
+
+    def test_no_lease_and_no_policy_starts_no_upkeep(self, kind):
+        hop, _, _ = _hop(kind)
+
+        async def body():
+            if hasattr(hop, "start"):
+                await hop.start()
+            hop.start_maintenance()
+            assert hop._maintenance_task is None
+            await hop.close()
+
+        run(body())
+
+    def test_upkeep_task_drives_retries_until_close(self, kind):
+        # Wall clock: a 0.2 s lease sweeps every 0.05 s.
+        hop, _, item_to_source = _hop(
+            kind, lease_duration=0.2,
+            dab_retry_policy=RetryPolicy(base_delay=0.01, backoff=1.0,
+                                         max_delay=0.01, max_attempts=50))
+
+        async def body():
+            stream = await _register(hop, item_to_source, 0)
+            hop._outstanding_dabs.clear()
+            await hop._send_dab_update(0, {"x": 1.5}, {"x": 1})
+            first = await _next_delivery(stream)
+            hop.start_maintenance()
+            task = hop._maintenance_task
+            assert task is not None
+            again = await _next_delivery(stream)
+            assert again["msg_id"] == first["msg_id"]
+            await hop.close()
+            assert task.cancelled()
+            assert hop._maintenance_task is None
+            stream.close()
 
         run(body())
